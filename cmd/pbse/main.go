@@ -72,7 +72,7 @@ func run() (int, error) {
 		budget   = flag.Int64("budget", 2_000_000, "virtual-time budget (instructions)")
 		rngSeed  = flag.Int64("rng", 42, "random seed (determinism)")
 		buggy    = flag.Bool("buggy-seed", false, "use the bug-triggering seed generator")
-		workers  = flag.Int("workers", 0, "worker count for the work-stealing scheduler (0 = GOMAXPROCS, 1 = round-robin scheduler)")
+		workers  = flag.Int("workers", 1, "scheduler worker count: 1 (or 0) = single-threaded round-robin scheduler, > 1 = work-stealing scheduler")
 		determ   = flag.Bool("deterministic", false, "use the round-barrier island scheduler: bit-identical results for any worker count, at the cost of fast-mode throughput")
 
 		cpuProfile   = flag.String("cpuprofile", "", "write a CPU profile to this file")

@@ -20,12 +20,14 @@ import (
 //
 // Invariants the protocol maintains without any lock service:
 //
-//   - At most one live owner. A fresh lease is created with
-//     O_CREATE|O_EXCL (the filesystem arbitrates races). An expired
-//     lease is stolen by renaming it to a tombstone
-//     (lease.json.stolen.<epoch>) — rename(2) of one source path
-//     succeeds for exactly one contender — and then creating the new
-//     lease exclusively.
+//   - At most one live owner. A fresh lease is written to a temp file
+//     and hard-linked into place (link(2) fails when the name exists,
+//     so the filesystem arbitrates races, and the file never appears
+//     half-written). An expired lease is stolen under a steal lock
+//     (lease.json.steal, created the same exclusive way, so exactly
+//     one contender moves the old file aside): the holder re-reads the
+//     lease, renames it to a tombstone (lease.json.stolen.<epoch>) and
+//     then creates the new lease exclusively.
 //
 //   - The fencing epoch is monotonic across owners, crashes included.
 //     A steal writes epoch = old+1. Tombstones persist until a higher
@@ -132,6 +134,11 @@ func ReadLease(path string) (*LeaseInfo, error) {
 	return li, nil
 }
 
+// tombName is the tombstone of the lease at path for epoch.
+func tombName(path string, epoch uint64) string {
+	return fmt.Sprintf("%s.stolen.%d", path, epoch)
+}
+
 // tombEpoch parses the epoch out of a tombstone file name
 // (lease.json.stolen.<epoch>), returning 0 for foreign names.
 func tombEpoch(name string) uint64 {
@@ -182,35 +189,29 @@ func clearTombstones(path string, have uint64) {
 	}
 }
 
-// createExclusive writes a brand-new lease file at path with
-// O_CREATE|O_EXCL — the atomic arbiter for fresh acquisitions.
+// createExclusive writes a brand-new lease file at path — the atomic
+// arbiter for fresh acquisitions. The record is written and fsynced to
+// a temp file first and then hard-linked into place: link(2) fails with
+// EEXIST when path exists, exactly like O_CREATE|O_EXCL, but the lease
+// appears with its full contents, so a concurrent Acquire never reads a
+// half-written (empty) file and mistakes it for a crashed create.
 func (m *LeaseManager) createExclusive(path string, epoch uint64) error {
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_CREATE|os.O_EXCL, 0o644)
-	if err != nil {
-		return err
-	}
 	now := time.Now()
-	li := LeaseInfo{
+	data, err := json.Marshal(&LeaseInfo{
 		Owner:           m.owner,
 		Epoch:           epoch,
 		ExpiresUnixNano: now.Add(m.ttl).UnixNano(),
 		RenewedUnixNano: now.UnixNano(),
+	})
+	if err != nil {
+		return fmt.Errorf("cluster: lease create: %w", err)
 	}
-	data, merr := json.Marshal(&li)
-	if merr == nil {
-		_, merr = f.Write(data)
+	tmp, err := writeTemp(path, data)
+	if err != nil {
+		return fmt.Errorf("cluster: lease create: %w", err)
 	}
-	if merr == nil {
-		merr = f.Sync()
-	}
-	if cerr := f.Close(); merr == nil {
-		merr = cerr
-	}
-	if merr != nil {
-		os.Remove(path)
-		return fmt.Errorf("cluster: lease create: %w", merr)
-	}
-	return nil
+	defer os.Remove(tmp)
+	return os.Link(tmp, path)
 }
 
 // Acquire takes the lease at path (creating its directory if needed):
@@ -252,30 +253,61 @@ func (m *LeaseManager) Acquire(path string) (*Lease, error) {
 
 		default:
 			// Expired, or unreadable (a crashed create that never
-			// fenced anything): steal. The rename is the arbiter —
-			// exactly one contender moves the old file aside.
-			var oldEpoch uint64
-			if li != nil {
-				oldEpoch = li.Epoch
-			}
-			if t := maxTombstoneEpoch(path); t > oldEpoch {
-				oldEpoch = t
-			}
-			tomb := fmt.Sprintf("%s.stolen.%d", path, oldEpoch)
-			if rerr := os.Rename(path, tomb); rerr != nil {
-				continue // lost the steal race; re-read
-			}
-			if cerr := m.createExclusive(path, oldEpoch+1); cerr != nil {
-				if os.IsExist(cerr) {
-					continue // a fresh acquirer slipped in after our rename
+			// fenced anything): steal, under the steal lock, so exactly
+			// one contender moves the old file aside. A lock past its
+			// own expiry was left by a stealer that crashed.
+			lock := path + ".steal"
+			if cerr := m.createExclusive(lock, 1); cerr != nil {
+				if !os.IsExist(cerr) {
+					return nil, cerr
 				}
-				return nil, cerr
+				if ll, lerr := ReadLease(lock); lerr != nil || ll != nil && ll.Expired(time.Now()) {
+					os.Remove(lock)
+				}
+				continue
 			}
-			clearTombstones(path, oldEpoch+1)
-			return m.adopt(path, oldEpoch+1), nil
+			l, serr := m.stealLocked(path, li)
+			os.Remove(lock)
+			if serr != nil {
+				return nil, serr
+			}
+			if l != nil {
+				return l, nil
+			}
 		}
 	}
 	return nil, fmt.Errorf("%w (acquire retry budget exhausted)", ErrHeld)
+}
+
+// stealLocked moves the lease judged stealable (li; nil when corrupt)
+// to its tombstone and creates the successor at the next epoch. The
+// caller holds the steal lock. A nil lease with a nil error means the
+// file changed since it was judged stealable, or a fresh acquirer won
+// the create: the caller re-reads.
+func (m *LeaseManager) stealLocked(path string, li *LeaseInfo) (*Lease, error) {
+	cur, err := ReadLease(path)
+	if !(li == nil && err != nil || li != nil && cur != nil &&
+		cur.Owner == li.Owner && cur.Epoch == li.Epoch && cur.Expired(time.Now())) {
+		return nil, nil
+	}
+	var oldEpoch uint64
+	if li != nil {
+		oldEpoch = li.Epoch
+	}
+	if t := maxTombstoneEpoch(path); t > oldEpoch {
+		oldEpoch = t
+	}
+	if err := os.Rename(path, tombName(path, oldEpoch)); err != nil {
+		return nil, nil // released under us; re-read
+	}
+	if err := m.createExclusive(path, oldEpoch+1); err != nil {
+		if os.IsExist(err) {
+			return nil, nil // a fresh acquirer slipped in after our rename
+		}
+		return nil, err
+	}
+	clearTombstones(path, oldEpoch+1)
+	return m.adopt(path, oldEpoch+1), nil
 }
 
 // adopt registers a held lease.
@@ -335,8 +367,7 @@ func (m *LeaseManager) Release(l *Lease) error {
 	if err != nil || li == nil || li.Owner != m.owner || li.Epoch != l.Epoch {
 		return nil // already stolen or gone: nothing to release
 	}
-	tomb := fmt.Sprintf("%s.stolen.%d", l.Path, l.Epoch)
-	if err := os.Rename(l.Path, tomb); err != nil && !os.IsNotExist(err) {
+	if err := os.Rename(l.Path, tombName(l.Path, l.Epoch)); err != nil && !os.IsNotExist(err) {
 		return fmt.Errorf("cluster: lease release: %w", err)
 	}
 	return nil
@@ -379,24 +410,35 @@ func writeLeaseAtomic(path string, li *LeaseInfo) error {
 	if err != nil {
 		return fmt.Errorf("cluster: lease encode: %w", err)
 	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	tmp, err := writeTemp(path, data)
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
 	if err != nil {
+		os.Remove(tmp)
 		return fmt.Errorf("cluster: lease write: %w", err)
 	}
-	tmpName := tmp.Name()
-	_, werr := tmp.Write(data)
-	if werr == nil {
-		werr = tmp.Sync()
-	}
-	if cerr := tmp.Close(); werr == nil {
-		werr = cerr
-	}
-	if werr == nil {
-		werr = os.Rename(tmpName, path)
-	}
-	if werr != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("cluster: lease write: %w", werr)
-	}
 	return nil
+}
+
+// writeTemp writes data to a fresh fsynced temp file next to path and
+// returns its name ("" on a create failure); on other failures the temp
+// file is removed.
+func writeTemp(path string, data []byte) (string, error) {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp*")
+	if err != nil {
+		return "", err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err != nil {
+		os.Remove(f.Name())
+		return "", err
+	}
+	return f.Name(), nil
 }

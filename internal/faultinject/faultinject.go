@@ -11,7 +11,9 @@
 // stream serialises its draws behind its own mutex and counters are
 // atomic, so parallel phase workers may share one injector. The fault
 // *sequence* under concurrency depends on goroutine interleaving; for
-// per-worker determinism derive one injector per worker with Child.
+// per-worker determinism derive one injector per worker with Child. A
+// child's fires also count in its parent's Counts, so the injector a run
+// was configured with reports every fault the run saw.
 package faultinject
 
 import (
@@ -117,18 +119,30 @@ type Injector struct {
 	// one stream per hook so rates stay independent of call interleaving
 	unknown, slow, panics, alloc     *stream
 	islandCrash, islandHang, storeIO *stream
-	counts                           atomicCounts
+	counts                           [numKinds]atomic.Int64
+	// parent is the injector Child was called on; fires roll up into it
+	parent *Injector
 }
 
-// atomicCounts mirrors Counts with atomic fields.
-type atomicCounts struct {
-	solverUnknown atomic.Int64
-	solverSlow    atomic.Int64
-	stepPanic     atomic.Int64
-	allocPressure atomic.Int64
-	islandCrash   atomic.Int64
-	islandHang    atomic.Int64
-	storeIO       atomic.Int64
+// kind indexes Injector.counts, one per Counts field.
+type kind int
+
+const (
+	kSolverUnknown kind = iota
+	kSolverSlow
+	kStepPanic
+	kAllocPressure
+	kIslandCrash
+	kIslandHang
+	kStoreIO
+	numKinds
+)
+
+// fired counts one fire of k on i and on every ancestor.
+func (i *Injector) fired(k kind) {
+	for ; i != nil; i = i.parent {
+		i.counts[k].Add(1)
+	}
 }
 
 // New returns an injector whose fault sequence is a pure function of
@@ -159,27 +173,31 @@ func New(seed int64, opts Options) *Injector {
 // Child derives an injector with the same options and an id-mixed seed.
 // Parallel phase workers each take a Child(phaseID) so every worker sees
 // a fault sequence that is a pure function of (seed, id), independent of
-// how the workers interleave.
+// how the workers interleave. The child has its own counters, and its
+// fires are added to i's (and i's ancestors') as well.
 func (i *Injector) Child(id int64) *Injector {
 	if i == nil {
 		return nil
 	}
-	return New(i.seed*1000003+id+1, i.opts)
+	c := New(i.seed*1000003+id+1, i.opts)
+	c.parent = i
+	return c
 }
 
-// Counts returns the fired-fault counters.
+// Counts returns the fired-fault counters, including every fire of the
+// injector's children.
 func (i *Injector) Counts() Counts {
 	if i == nil {
 		return Counts{}
 	}
 	return Counts{
-		SolverUnknown: i.counts.solverUnknown.Load(),
-		SolverSlow:    i.counts.solverSlow.Load(),
-		StepPanic:     i.counts.stepPanic.Load(),
-		AllocPressure: i.counts.allocPressure.Load(),
-		IslandCrash:   i.counts.islandCrash.Load(),
-		IslandHang:    i.counts.islandHang.Load(),
-		StoreIO:       i.counts.storeIO.Load(),
+		SolverUnknown: i.counts[kSolverUnknown].Load(),
+		SolverSlow:    i.counts[kSolverSlow].Load(),
+		StepPanic:     i.counts[kStepPanic].Load(),
+		AllocPressure: i.counts[kAllocPressure].Load(),
+		IslandCrash:   i.counts[kIslandCrash].Load(),
+		IslandHang:    i.counts[kIslandHang].Load(),
+		StoreIO:       i.counts[kStoreIO].Load(),
 	}
 }
 
@@ -197,7 +215,7 @@ func (i *Injector) SolverUnknown() bool {
 	if i == nil || !i.unknown.fire(i.opts.SolverUnknownRate) {
 		return false
 	}
-	i.counts.solverUnknown.Add(1)
+	i.fired(kSolverUnknown)
 	return true
 }
 
@@ -207,7 +225,7 @@ func (i *Injector) SolverSlow() (time.Duration, bool) {
 	if i == nil || !i.slow.fire(i.opts.SolverSlowRate) {
 		return 0, false
 	}
-	i.counts.solverSlow.Add(1)
+	i.fired(kSolverSlow)
 	return i.opts.SolverSlowDelay, true
 }
 
@@ -223,7 +241,7 @@ func (i *Injector) StepPanic(fn string) bool {
 	if !i.panics.fire(i.opts.StepPanicRate) {
 		return false
 	}
-	i.counts.stepPanic.Add(1)
+	i.fired(kStepPanic)
 	return true
 }
 
@@ -233,7 +251,7 @@ func (i *Injector) AllocPhantom() int64 {
 	if i == nil || !i.alloc.fire(i.opts.AllocPressureRate) {
 		return 0
 	}
-	i.counts.allocPressure.Add(1)
+	i.fired(kAllocPressure)
 	return i.opts.AllocPhantomBytes
 }
 
@@ -242,7 +260,7 @@ func (i *Injector) IslandCrash() bool {
 	if i == nil || !i.islandCrash.fire(i.opts.IslandCrashRate) {
 		return false
 	}
-	i.counts.islandCrash.Add(1)
+	i.fired(kIslandCrash)
 	return true
 }
 
@@ -252,7 +270,7 @@ func (i *Injector) IslandHang() (time.Duration, bool) {
 	if i == nil || !i.islandHang.fire(i.opts.IslandHangRate) {
 		return 0, false
 	}
-	i.counts.islandHang.Add(1)
+	i.fired(kIslandHang)
 	return i.opts.IslandHangDelay, true
 }
 
@@ -262,7 +280,7 @@ func (i *Injector) StoreIO() bool {
 	if i == nil || !i.storeIO.fire(i.opts.StoreIORate) {
 		return false
 	}
-	i.counts.storeIO.Add(1)
+	i.fired(kStoreIO)
 	return true
 }
 

@@ -10,9 +10,9 @@ import (
 	"pbse/internal/targets"
 )
 
-// runGoverned runs pbSE on readelf with the given injector and executor
-// options, asserting the run itself never errors or panics.
-func runGoverned(t *testing.T, budget int64, exOpts symex.Options) *Result {
+// runGoverned runs pbSE on readelf with the given worker count and
+// executor options, asserting the run itself never errors or panics.
+func runGoverned(t *testing.T, budget int64, workers int, exOpts symex.Options) *Result {
 	t.Helper()
 	tgt, err := targets.ByDriver("readelf")
 	if err != nil {
@@ -24,7 +24,7 @@ func runGoverned(t *testing.T, budget int64, exOpts symex.Options) *Result {
 	}
 	seed := tgt.GenSeed(rand.New(rand.NewSource(42)), 576)
 	exOpts.InputSize = len(seed)
-	res, err := Run(prog, seed, Options{Budget: budget, Seed: 42}, exOpts)
+	res, err := Run(prog, seed, Options{Budget: budget, Seed: 42, Workers: workers}, exOpts)
 	if err != nil {
 		t.Fatalf("pbse.Run under fault injection: %v", err)
 	}
@@ -100,7 +100,7 @@ func TestPBSECompletesUnderEveryFault(t *testing.T) {
 			inj := faultinject.New(11, tc.opts)
 			exOpts := tc.exOpts
 			exOpts.FaultInjector = inj
-			res := runGoverned(t, budget, exOpts)
+			res := runGoverned(t, budget, 1, exOpts)
 			if res.Covered == 0 {
 				t.Fatal("run covered nothing under fault injection")
 			}
@@ -109,12 +109,31 @@ func TestPBSECompletesUnderEveryFault(t *testing.T) {
 	}
 }
 
+// TestStepPanicCountsRollUpFromWorkers: work-stealing workers draw their
+// faults from per-worker child injectors, and every fire must still
+// reach the configured injector's Counts — one quarantine per injected
+// step panic.
+func TestStepPanicCountsRollUpFromWorkers(t *testing.T) {
+	inj := faultinject.New(11, faultinject.Options{StepPanicRate: 0.05})
+	res := runGoverned(t, 60_000, 4, symex.Options{FaultInjector: inj})
+	if res.Workers != 4 {
+		t.Fatalf("ran with %d workers, want 4", res.Workers)
+	}
+	fired := inj.Counts().StepPanic
+	if fired == 0 || res.Gov.Quarantines == 0 {
+		t.Fatalf("no step panics at W=4: fired %d, quarantines %d", fired, res.Gov.Quarantines)
+	}
+	if res.Gov.Quarantines != fired {
+		t.Errorf("quarantines = %d, injector fired %d times", res.Gov.Quarantines, fired)
+	}
+}
+
 // TestPBSENoFaultZeroGovernance: a clean run must report zero
 // quarantines, evictions, and concretizations — governance machinery is
 // inert when nothing goes wrong.
 func TestPBSENoFaultZeroGovernance(t *testing.T) {
 	skipIfShort(t)
-	res := runGoverned(t, 60_000, symex.Options{})
+	res := runGoverned(t, 60_000, 1, symex.Options{})
 	if res.Covered == 0 {
 		t.Fatal("no coverage")
 	}
@@ -142,7 +161,7 @@ func TestPBSEPhaseProgressUnderQuarantine(t *testing.T) {
 		StepPanicRate: 1,
 		StepPanicFunc: "process_section_headers",
 	})
-	res := runGoverned(t, 120_000, symex.Options{FaultInjector: inj})
+	res := runGoverned(t, 120_000, 1, symex.Options{FaultInjector: inj})
 	if res.Gov.Quarantines == 0 {
 		t.Skip("no state reached the poisoned function at this budget")
 	}
@@ -169,7 +188,7 @@ func TestPBSEGovernanceShortSmoke(t *testing.T) {
 		SolverUnknownRate: 0.3,
 		StepPanicRate:     0.02,
 	})
-	res := runGoverned(t, 20_000, symex.Options{FaultInjector: inj})
+	res := runGoverned(t, 20_000, 1, symex.Options{FaultInjector: inj})
 	if res.Covered == 0 {
 		t.Fatal("smoke run covered nothing under injection")
 	}

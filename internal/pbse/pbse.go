@@ -10,7 +10,6 @@ package pbse
 import (
 	"fmt"
 	"math/rand"
-	"runtime"
 	"time"
 
 	"pbse/internal/analysis"
@@ -61,16 +60,15 @@ type Options struct {
 	DisableAbsint bool
 	// Seed drives in-phase state selection.
 	Seed int64
-	// Workers is the number of scheduler workers. Default (0) is
-	// runtime.GOMAXPROCS(0). With Workers <= 1 (or Sequential set) the
-	// original single-goroutine round-robin runs, bit-for-bit identical
-	// to previous releases. With Workers > 1 the default is the
-	// work-stealing fast mode (worksteal.go, DESIGN.md §12): every
-	// phase's frontier is sharded across all workers, coverage and
-	// solver verdicts publish asynchronously, and sibling solver queries
-	// are batched — highest throughput, but results depend on goroutine
-	// interleaving. Set Deterministic for the reproducible island
-	// scheduler instead.
+	// Workers is the number of scheduler workers; 0 means 1, so a
+	// zero-value Options gives the same result on every machine. With
+	// Workers <= 1 (or Sequential set) the single-goroutine round-robin
+	// runs. With Workers > 1 the default is the work-stealing fast mode
+	// (worksteal.go, DESIGN.md §12): every phase's frontier is sharded
+	// across all workers and coverage and solver verdicts publish
+	// asynchronously — highest throughput, but results depend on
+	// goroutine interleaving. Set Deterministic for the reproducible
+	// island scheduler instead.
 	Workers int
 	// Deterministic selects the round-barrier island scheduler for
 	// Workers > 1 (parallel.go, DESIGN.md §8): phases run as isolated
@@ -280,17 +278,6 @@ func Run(prog *ir.Program, seed []byte, opts Options, exOpts symex.Options) (*Re
 		}
 	}
 
-	// A run headed for the work-stealing scheduler gets batched sibling
-	// dispatch on the main executor too, so the serial concolic stage
-	// shares the fast pipeline (one slice per terminator, witness solves
-	// memoised per site) instead of paying the legacy per-query slicing.
-	// W=1, Sequential, and Deterministic runs keep the legacy pipeline
-	// untouched — that is the baseline the determinism contract pins.
-	if fastWorkers := opts.Workers; !opts.Sequential && !opts.Deterministic &&
-		(fastWorkers > 1 || fastWorkers == 0 && runtime.GOMAXPROCS(0) > 1) {
-		exOpts.BatchSiblings = true
-	}
-
 	ex := symex.NewExecutor(prog, exOpts)
 	res := &Result{Executor: ex}
 
@@ -339,9 +326,6 @@ func Run(prog *ir.Program, seed []byte, opts Options, exOpts symex.Options) (*Re
 
 	// Step 3: phase-scheduled symbolic execution (Algorithm 3).
 	workers := opts.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	populated := 0
 	for _, p := range pools {
 		if len(p.states) > 0 {

@@ -2,6 +2,7 @@ package pbse
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"pbse/internal/interp"
@@ -136,6 +137,35 @@ func TestPBSEDeterminism(t *testing.T) {
 	if r1.Covered != r2.Covered || len(r1.Bugs) != len(r2.Bugs) {
 		t.Errorf("nondeterministic: covered %d/%d bugs %d/%d",
 			r1.Covered, r2.Covered, len(r1.Bugs), len(r2.Bugs))
+	}
+}
+
+// TestBatchSiblingsIgnored: every executor runs the one batched query
+// pipeline, so symex.Options.BatchSiblings must not change a W=1 run in
+// any observable way — coverage, bug IDs, per-phase stats and solver
+// counters all match.
+func TestBatchSiblingsIgnored(t *testing.T) {
+	prog, seed := buildTarget(t, "readelf", 576)
+	run := func(batch bool) *Result {
+		res, err := Run(prog, seed, Options{Budget: 50_000, Seed: 42, Workers: 1},
+			symex.Options{InputSize: len(seed), BatchSiblings: batch})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	on, off := run(true), run(false)
+	if !reflect.DeepEqual(on.Executor.CoveredBlocks(), off.Executor.CoveredBlocks()) {
+		t.Errorf("coverage differs: %d blocks with BatchSiblings, %d without", on.Covered, off.Covered)
+	}
+	if a, b := bugIDs(on), bugIDs(off); !reflect.DeepEqual(a, b) {
+		t.Errorf("bug IDs differ: %v vs %v", a, b)
+	}
+	if !reflect.DeepEqual(on.PhaseStats, off.PhaseStats) {
+		t.Errorf("phase stats differ:\n%+v\n%+v", on.PhaseStats, off.PhaseStats)
+	}
+	if on.SolverStats != off.SolverStats {
+		t.Errorf("solver stats differ:\n%+v\n%+v", on.SolverStats, off.SolverStats)
 	}
 }
 

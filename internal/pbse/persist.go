@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"log"
 	"math/rand"
-	"runtime"
 	"time"
 
 	"pbse/internal/bugs"
@@ -664,9 +663,6 @@ func resumeRun(prog *ir.Program, seedBytes []byte, opts Options, exOpts symex.Op
 		}
 		ex.SetStateIDBase(maxNext)
 		workers := opts.Workers
-		if workers == 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
 		if workers < 1 {
 			workers = 1
 		}
@@ -802,9 +798,6 @@ func rebuildIslands(prog *ir.Program, cf *store.CheckpointFile, ck *store.Checkp
 	}
 
 	workers := opts.Workers
-	if workers == 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
 	if workers > len(rp.isles) {
 		workers = len(rp.isles)
 	}

@@ -26,9 +26,6 @@ package pbse
 //     the store's persistent cache) instead of parking them in a
 //     roundCache until the barrier; every Put carries a sequence number
 //     (ShardedCache.Seq) so publication order remains reconstructible.
-//     Workers also batch sibling feasibility queries per terminator
-//     (symex.Options.BatchSiblings), bit-blasting the shared
-//     path-constraint slice once per branch or switch.
 //   - Work stealing: a worker whose shards drain posts a request on a
 //     shared channel; any worker passing a poll point detaches half of
 //     its largest frontier (symex.Executor.DetachState) and hands the
@@ -458,8 +455,7 @@ func runWorkSteal(prog *ir.Program, ex *symex.Executor, pools []*phasePool,
 // buildWSWorker constructs one worker's private executor and imports its
 // deal of every phase's states. Unlike the islands' roundCache, the
 // solver's shared tier is wired directly: verdicts publish the moment
-// they are decided. BatchSiblings turns on batched sibling dispatch —
-// fast mode only, since batching changes cache-fill order.
+// they are decided.
 func buildWSWorker(prog *ir.Program, ex *symex.Executor, w *wsWorker,
 	shared solver.VerdictCache, seedBytes []byte, baseCover []int,
 	opts Options, exOpts symex.Options, deal [][]*symex.State) {
@@ -468,7 +464,6 @@ func buildWSWorker(prog *ir.Program, ex *symex.Executor, w *wsWorker,
 	po.FaultInjector = exOpts.FaultInjector.Child(int64(w.id)) // nil-safe
 	po.SolverOpts.Injector = nil                               // rewired from the child injector
 	po.SolverOpts.Shared = shared
-	po.BatchSiblings = true
 	w.inj = po.FaultInjector
 
 	pex := symex.NewExecutor(prog, po)

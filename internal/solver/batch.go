@@ -6,19 +6,19 @@ import (
 	"pbse/internal/expr"
 )
 
-// Batched sibling dispatch (DESIGN.md §12). A branch or switch
-// terminator asks one feasibility question per successor edge, and all
-// of those questions share the same path-constraint slice: cond and
-// ¬cond read the same symbolic bytes, and every switch arm reads the
-// scrutinee's. The classic pipeline answers them one Feasible call at a
-// time, re-blasting the shared slice for every sibling that falls
-// through to the SAT core. FeasibleBatch instead runs the cheap
-// pipeline (caches, candidates, intervals) per sibling and then blasts
-// the shared slice ONCE into a single fresh SAT instance, deciding each
-// leftover sibling under an assumption literal — the same mechanism
-// satCheckIncremental uses against the persistent instance, so the
-// soundness argument is identical: Tseitin gates are biconditional, an
-// unasserted sibling leaves the formula unconstrained.
+// Batched sibling dispatch (DESIGN.md §12), the only feasibility
+// pipeline. A branch or switch terminator asks one feasibility question
+// per successor edge, and all of those questions share the same
+// path-constraint slice: cond and ¬cond read the same symbolic bytes,
+// and every switch arm reads the scrutinee's. FeasibleBatchSliced runs
+// the cheap pipeline (caches, candidates, intervals) per sibling and
+// then blasts the shared slice ONCE into a single fresh SAT instance,
+// deciding each leftover sibling under an assumption literal — the same
+// mechanism satCheckIncremental uses against the persistent instance,
+// so the soundness argument is identical: Tseitin gates are
+// biconditional, an unasserted sibling leaves the formula
+// unconstrained. A single feasibility query (Feasible) is the
+// one-sibling case.
 //
 // Soundness of the shared slice: each sibling's own relevant slice is a
 // subset of the union slice, and the extra constraints the union pulls
@@ -35,41 +35,26 @@ type BatchVerdict struct {
 	Err error
 }
 
-// batchPending is a sibling that survived the cheap pipeline and needs
-// the SAT core.
-type batchPending struct {
-	idx  int // index into the caller's conds slice
+// pendingQuery is a query that survived the cheap pipeline and needs the
+// SAT core.
+type pendingQuery struct {
+	idx  int // index into the caller's conds slice (batches only)
 	cond *expr.Expr
-	key  string // local-cache key of the reduced constraint set
-	skey uint64 // shared-cache fingerprint of the reduced set
+	live []*expr.Expr // the reduced constraint set (Check only)
+	key  string       // local-cache key of the reduced constraint set
+	skey uint64       // shared-cache fingerprint of the reduced set
 }
 
-// FeasibleBatch decides pc ∧ conds[i] for every sibling condition at
-// once. Verdict semantics per sibling match Feasible with verdictOnly
-// queries (models are extracted only to feed the candidate caches).
-// Every sibling is counted as a query; Stats.Batches counts the shared
-// SAT instances and Stats.BatchedQueries the siblings decided on one.
-func (s *Solver) FeasibleBatch(pc []*expr.Expr, conds []*expr.Expr, hint expr.Assignment) []BatchVerdict {
-	return s.FeasibleBatchSliced(s.relevantSliceMulti(pc, conds), conds, hint)
-}
-
-// SliceMulti returns the union relevant slice for a terminator's sibling
-// conditions: the constraints of pc transitively connected to any cond
-// through shared symbolic bytes. The batched executor path computes it
-// once per terminator and reuses it for the static precheck
-// (PreCheckSliced) and the SAT dispatch (FeasibleBatchSliced), instead
-// of re-slicing the path for every sibling of every stage.
-func (s *Solver) SliceMulti(pc []*expr.Expr, conds []*expr.Expr) []*expr.Expr {
-	return s.relevantSliceMulti(pc, conds)
-}
-
-// FeasibleBatchSliced is FeasibleBatch with the union slice already
-// computed by the caller (via SliceMulti, possibly over a superset of
-// conds — a superset union slice is still a subset of pc, so the
-// equisatisfiability argument above is unchanged).
+// FeasibleBatchSliced decides pc ∧ conds[i] for every sibling condition
+// at once, given the union Slice of pc for conds (a slice over a
+// superset of conds is fine: it is still a subset of pc, so the
+// equisatisfiability argument above is unchanged). Models are extracted
+// only to feed the candidate caches. Every sibling is counted as a
+// query; Stats.Batches counts the shared SAT instances and
+// Stats.BatchedQueries the siblings decided on one.
 func (s *Solver) FeasibleBatchSliced(slice []*expr.Expr, conds []*expr.Expr, hint expr.Assignment) []BatchVerdict {
 	out := make([]BatchVerdict, len(conds))
-	var pending []batchPending
+	var pending []pendingQuery
 	cs := make([]*expr.Expr, len(slice)+1)
 	for i, cond := range conds {
 		if cond.IsTrue() {
@@ -82,7 +67,7 @@ func (s *Solver) FeasibleBatchSliced(slice []*expr.Expr, conds []*expr.Expr, hin
 		}
 		copy(cs, slice)
 		cs[len(slice)] = cond
-		r, p, err := s.checkFast(cs, hint)
+		r, _, p, err := s.checkFast(cs, hint, true)
 		if p == nil {
 			out[i] = BatchVerdict{Res: r, Err: err}
 			continue
@@ -102,26 +87,27 @@ func (s *Solver) FeasibleBatchSliced(slice []*expr.Expr, conds []*expr.Expr, hin
 	return out
 }
 
-// The union slicer runs on every terminator and every bounds check of
-// the batched pipeline, so it trades the exact SymByte set computation
-// of relevantSlice for the expression DAG's hash bitmasks
-// (expr.ReadMask): each symbolic byte maps to one of 1024 bits, every
-// node carries the OR of its reads' bits (built at hash-cons time), and
-// the transitive-closure fixpoint reduces to word-wide AND/OR sweeps —
-// no per-call read-set walks or memo probes at all. Hash collisions only
-// ever ADD constraints to the slice, and a superset slice is sound
-// everywhere the batch path uses it (see the equisatisfiability argument
-// above and PreCheckSliced): precision is a performance knob here, never
-// a correctness one. Bit assignment is a pure function of array name and
+// The slicer runs on every terminator and every bounds check, so it
+// trades an exact SymByte set computation for the expression DAG's hash
+// bitmasks (expr.ReadMask): each symbolic byte maps to one of 1024 bits,
+// every node carries the OR of its reads' bits (built at hash-cons
+// time), and the transitive-closure fixpoint reduces to word-wide AND/OR
+// sweeps — no per-call read-set walks or memo probes at all. Hash
+// collisions only ever ADD constraints to the slice, and a superset
+// slice is sound everywhere it is used (see the equisatisfiability
+// argument above, ConcretizeModel and PreCheckSliced): precision is a
+// performance knob here, never a correctness one. Bit assignment is a pure function of array name and
 // byte index, so sibling workers slice identically and the shared-cache
 // keys they derive from the slices keep colliding (that is what makes
 // cross-worker verdict reuse work).
 
-// relevantSliceMulti is relevantSlice seeded with the union of every
-// sibling's reads: the constraints of pc transitively connected to any
-// of the conds through shared symbolic bytes (conservatively, modulo
-// mask collisions — see above).
-func (s *Solver) relevantSliceMulti(pc []*expr.Expr, conds []*expr.Expr) []*expr.Expr {
+// Slice returns the union relevant slice for a terminator's sibling
+// conditions: the constraints of pc transitively connected to any of
+// the conds through shared symbolic bytes (conservatively, modulo mask
+// collisions — see above). The executor computes it once per terminator
+// and reuses it for the static precheck (PreCheckSliced) and the SAT
+// dispatch (FeasibleBatchSliced).
+func (s *Solver) Slice(pc []*expr.Expr, conds []*expr.Expr) []*expr.Expr {
 	var want expr.ReadMask
 	for _, cond := range conds {
 		if m := cond.ReadMask(); m != nil {
@@ -197,24 +183,29 @@ func (s *Solver) relevantSliceMulti(pc []*expr.Expr, conds []*expr.Expr) []*expr
 	return out
 }
 
-// checkFast runs check's cheap pipeline — injector, trivial scan, bound
-// reduction, local cache, shared cache (verdict-only), candidates,
-// intervals — and stops before SAT dispatch. A nil *batchPending means
-// the query was decided (or injected-Unknown) right here; otherwise the
-// returned pending carries the cache keys the SAT stage must publish
-// under. Counter updates mirror check exactly, so a batched worker's
-// stats stay comparable with a classic one's.
-func (s *Solver) checkFast(constraints []*expr.Expr, hint expr.Assignment) (Result, *batchPending, error) {
+// checkFast runs the cheap pipeline shared by Check and
+// FeasibleBatchSliced — injector, trivial scan, bound reduction, local
+// cache, shared cache, candidates, intervals — and stops before SAT
+// dispatch. A nil *pendingQuery means the query was decided (or
+// injected-Unknown) right here, with its model when one is at hand;
+// otherwise the pending query carries the reduced constraints and the
+// cache keys the SAT stage must publish under. verdictOnly marks
+// queries whose caller discards the model (feasibility checks): only
+// those may be answered by a Sat verdict from the shared cross-worker
+// cache. Model-bearing queries take only Unsat from it — models are
+// never shared, keeping each worker's model stream deterministic
+// regardless of scheduling.
+func (s *Solver) checkFast(constraints []*expr.Expr, hint expr.Assignment, verdictOnly bool) (Result, expr.Assignment, *pendingQuery, error) {
 	s.stats.Queries++
 
 	if inj := s.opts.Injector; inj != nil {
 		if inj.SolverUnknown() {
 			s.stats.Unknowns++
 			s.stats.InjectedUnknowns++
-			return Unknown, nil, ErrInjected
+			return Unknown, nil, nil, ErrInjected
 		}
 		if d, ok := inj.SolverSlow(); ok {
-			time.Sleep(d)
+			time.Sleep(d) // an armed QueryDeadline trips in the SAT loop
 		}
 	}
 
@@ -224,12 +215,12 @@ func (s *Solver) checkFast(constraints []*expr.Expr, hint expr.Assignment) (Resu
 			continue
 		}
 		if c.IsFalse() {
-			return Unsat, nil, nil
+			return Unsat, nil, nil, nil
 		}
 		live = append(live, c)
 	}
 	if len(live) == 0 {
-		return Sat, nil, nil
+		return Sat, expr.Assignment{}, nil, nil
 	}
 	live = reduceBounds(live)
 
@@ -238,21 +229,21 @@ func (s *Solver) checkFast(constraints []*expr.Expr, hint expr.Assignment) (Resu
 		key = cacheKey(live)
 		if e, ok := s.cache[key]; ok {
 			s.stats.CacheHits++
-			return e.result, nil, nil
+			return e.result, e.model, nil, nil
 		}
 	}
 
 	skey := uint64(0)
 	if s.opts.Shared != nil {
 		skey = s.sharedKey(live)
-		// batched siblings are always verdict-only queries, so a shared
-		// Sat is honoured too (unlike model-bearing Check calls)
-		if r, ok := s.opts.Shared.Get(skey); ok {
+		if r, ok := s.opts.Shared.Get(skey); ok && (r == Unsat || verdictOnly) {
 			s.stats.SharedHits++
 			if r == Unsat {
+				// a Sat verdict without a model must not enter the local
+				// cache: later model-bearing queries would hit it
 				s.remember(key, Unsat, nil)
 			}
-			return r, nil, nil
+			return r, nil, nil, nil
 		}
 	}
 
@@ -263,7 +254,7 @@ func (s *Solver) checkFast(constraints []*expr.Expr, hint expr.Assignment) (Resu
 			if s.opts.Shared != nil {
 				s.opts.Shared.Put(skey, Sat)
 			}
-			return Sat, nil, nil
+			return Sat, m, nil, nil
 		}
 	}
 
@@ -274,11 +265,11 @@ func (s *Solver) checkFast(constraints []*expr.Expr, hint expr.Assignment) (Resu
 			if s.opts.Shared != nil {
 				s.opts.Shared.Put(skey, Unsat)
 			}
-			return Unsat, nil, nil
+			return Unsat, nil, nil, nil
 		}
 	}
 
-	return Unknown, &batchPending{key: key, skey: skey}, nil
+	return Unknown, nil, &pendingQuery{live: live, key: key, skey: skey}, nil
 }
 
 // batchSAT decides the pending siblings on one fresh SAT instance: the
@@ -287,12 +278,8 @@ func (s *Solver) checkFast(constraints []*expr.Expr, hint expr.Assignment) (Resu
 // recovered internal invariant violation degrades the current and all
 // remaining siblings to Unknown, mirroring the per-query recover
 // boundary of satCheck.
-func (s *Solver) batchSAT(slice []*expr.Expr, pending []batchPending, out []BatchVerdict) {
-	if s.opts.QueryDeadline > 0 {
-		s.queryDeadline = time.Now().Add(s.opts.QueryDeadline)
-	} else {
-		s.queryDeadline = time.Time{}
-	}
+func (s *Solver) batchSAT(slice []*expr.Expr, pending []pendingQuery, out []BatchVerdict) {
+	s.queryDeadline = s.deadline()
 	next := 0
 	defer func() {
 		p := recover()

@@ -6,14 +6,13 @@ import (
 	"pbse/internal/expr"
 )
 
-// precheckDeadline is the wall-clock cutoff for one PreCheck/PreCheckPC
-// sweep, armed from Options.QueryDeadline (zero time when unbounded).
-// The sweeps were added after the per-query deadline and originally ran
-// outside it; on pathological fact sets they could stall a turn just
-// like a runaway SAT search, so they now give up with Unknown — counted
-// in Stats.PrecheckDeadlines — and let the regular pipeline (which has
-// its own deadline) take over.
-func (s *Solver) precheckDeadline() time.Time {
+// deadline is the wall-clock cutoff for one SAT dispatch or one
+// PreCheck/PreCheckSliced sweep, armed from Options.QueryDeadline (zero
+// time when unbounded). An expired sweep gives up with Unknown — counted
+// in Stats.PrecheckDeadlines — and lets the regular pipeline (which has
+// its own deadline) take over, so a pathological fact set cannot stall
+// a turn any more than a runaway SAT search can.
+func (s *Solver) deadline() time.Time {
 	if s.opts.QueryDeadline <= 0 {
 		return time.Time{}
 	}
@@ -53,7 +52,7 @@ func (s *Solver) PreCheck(cond *expr.Expr, facts []RangeFact) Result {
 	case cond.IsFalse():
 		return Unsat
 	}
-	deadline := s.precheckDeadline()
+	deadline := s.deadline()
 	memo := make(map[*expr.Expr]interval, 32)
 	for _, f := range facts {
 		if expiredDeadline(deadline) {
@@ -94,57 +93,32 @@ func (s *Solver) PreCheck(cond *expr.Expr, facts []RangeFact) Result {
 	return Unknown
 }
 
-// PreCheckPC is PreCheck strengthened with the path constraints: when
-// cond alone is undecided, the constraints sharing symbolic bytes with
-// cond are interval-checked with the facts seeding the propagation. This
-// refutes conjunctions the plain pre-dispatch interval pass cannot — the
-// in-solver interval stage sees the same slice but not the invariants,
-// which often carry exactly the missing range (e.g. a loop bound proven
-// by widening/narrowing that never appears as an explicit constraint).
+// PreCheckSliced is PreCheck strengthened with the path constraints:
+// when cond alone is undecided, slice — the caller's Slice of the path
+// for cond, computed once per terminator — is interval-checked with the
+// facts seeding the propagation. This refutes conjunctions the plain
+// pre-dispatch interval pass cannot — the in-solver interval stage sees
+// the same slice but not the invariants, which often carry exactly the
+// missing range (e.g. a loop bound proven by widening/narrowing that
+// never appears as an explicit constraint).
 //
-// Only Unsat can be concluded from the slice: facts are implied by the
-// FULL pc, so slice AND cond AND facts unsat forces pc AND cond unsat,
-// while a satisfiable slice says nothing about the rest of the path.
-// Nothing is cached — the verdict depends on facts private to the
-// caller's program point, and keying the shared caches on the constraint
-// set alone would leak it into contexts with different invariants.
-func (s *Solver) PreCheckPC(pc []*expr.Expr, cond *expr.Expr, facts []RangeFact) Result {
-	if r := s.PreCheck(cond, facts); r != Unknown {
-		return r
-	}
-	if len(facts) == 0 || len(pc) == 0 {
-		return Unknown
-	}
-	return s.preCheckSliced(s.relevantSlice(pc, cond), cond, facts)
-}
-
-// PreCheckSliced is PreCheckPC with the slicing already done by the
-// caller — the batched dispatch path computes ONE union slice per
-// terminator (SliceMulti) and prechecks every sibling against it instead
-// of re-slicing the path per sibling. slice may be any subset of the
-// path constraints that contains the constraints relevant to cond (a
-// superset union slice is fine): the only verdict drawn from it is
-// Unsat, and slice AND cond AND facts unsat forces pc AND cond unsat for
-// any slice ⊆ pc. Extra sibling-only constraints can only seed more
-// bounds, never unsound ones — they too are implied by the path.
+// slice may be any subset of the path constraints (a superset union
+// slice is fine), and only Unsat can be concluded from it: facts are
+// implied by the FULL pc, so slice AND cond AND facts unsat forces pc
+// AND cond unsat, while a satisfiable slice says nothing about the rest
+// of the path. Extra sibling-only constraints can only seed more bounds,
+// never unsound ones — they too are implied by the path. Nothing is
+// cached — the verdict depends on facts private to the caller's program
+// point, and keying the shared caches on the constraint set alone would
+// leak it into contexts with different invariants.
 func (s *Solver) PreCheckSliced(slice []*expr.Expr, cond *expr.Expr, facts []RangeFact) Result {
 	if r := s.PreCheck(cond, facts); r != Unknown {
 		return r
 	}
-	if len(facts) == 0 {
+	if len(facts) == 0 || len(slice) == 0 {
 		return Unknown
 	}
-	return s.preCheckSliced(slice, cond, facts)
-}
-
-// preCheckSliced runs the fact-seeded interval propagation over an
-// already computed constraint slice (see PreCheckPC for the soundness
-// argument; only Unsat may be concluded).
-func (s *Solver) preCheckSliced(slice []*expr.Expr, cond *expr.Expr, facts []RangeFact) Result {
-	if len(slice) == 0 {
-		return Unknown
-	}
-	deadline := s.precheckDeadline()
+	deadline := s.deadline()
 	cs := make([]*expr.Expr, 0, len(slice)+1)
 	cs = append(cs, slice...)
 	cs = append(cs, cond)

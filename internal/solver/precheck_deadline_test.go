@@ -8,7 +8,7 @@ import (
 )
 
 // TestPreCheckDeadline: an armed QueryDeadline bounds the PreCheck and
-// PreCheckPC propagation sweeps too — an expired sweep gives up with
+// PreCheckSliced propagation sweeps too — an expired sweep gives up with
 // Unknown and is counted in Stats.PrecheckDeadlines instead of stalling
 // the turn.
 func TestPreCheckDeadline(t *testing.T) {
@@ -34,8 +34,8 @@ func TestPreCheckDeadline(t *testing.T) {
 	t.Run("precheck-pc", func(t *testing.T) {
 		s := New(Options{QueryDeadline: time.Nanosecond})
 		pc := []*expr.Expr{c.UltE(x, c.Const(5, 32))}
-		if r := s.PreCheckPC(pc, cond, facts); r != Unknown {
-			t.Fatalf("PreCheckPC under 1ns deadline = %v, want Unknown", r)
+		if r := s.PreCheckSliced(pc, cond, facts); r != Unknown {
+			t.Fatalf("PreCheckSliced under 1ns deadline = %v, want Unknown", r)
 		}
 		if st := s.Stats(); st.PrecheckDeadlines == 0 {
 			t.Errorf("abandoned precheck-pc sweep not counted: %+v", st)

@@ -142,13 +142,14 @@ func TestSeededIntervalRefutesLoopExit(t *testing.T) {
 	}
 }
 
-// TestIncrementalMatchesFresh: incremental and per-query modes agree on
-// random query sequences sharing constraints.
+// TestIncrementalMatchesFresh: the persistent incremental instance and
+// fresh per-query instances agree on random query sequences sharing
+// constraints.
 func TestIncrementalMatchesFresh(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	c := expr.NewContext()
 	arr := expr.NewArray("in", 2)
-	inc := New(Options{Incremental: true, DisableCandidates: true, DisableCache: true, DisableIntervals: true, DisableSlicing: true})
+	inc := New(Options{})
 	fresh := New(Options{DisableCandidates: true, DisableCache: true, DisableIntervals: true, DisableSlicing: true})
 
 	var pool []*expr.Expr
@@ -160,7 +161,7 @@ func TestIncrementalMatchesFresh(t *testing.T) {
 		for i := 0; i < 1+rng.Intn(3); i++ {
 			cs = append(cs, pool[rng.Intn(len(pool))])
 		}
-		r1, m1, _ := inc.Check(cs, nil)
+		r1, m1, _ := inc.satCheckIncremental(cs)
 		r2, _, _ := fresh.Check(cs, nil)
 		if r1 != r2 {
 			t.Fatalf("query %d: incremental=%v fresh=%v for %v", q, r1, r2, cs)

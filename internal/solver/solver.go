@@ -42,9 +42,10 @@ type Stats struct {
 	SATRuns      int64 // fell through to bit-blasting + CDCL
 	Conflicts    int64
 
-	// Batched sibling dispatch (FeasibleBatch): shared SAT instances
-	// built, and sibling queries decided on one (each blasts the common
-	// path-constraint slice once instead of per query).
+	// Batched sibling dispatch (FeasibleBatchSliced): shared SAT
+	// instances built for two or more siblings, and the sibling queries
+	// decided on them (the common path-constraint slice is blasted once
+	// instead of per query).
 	Batches        int64
 	BatchedQueries int64
 
@@ -55,7 +56,7 @@ type Stats struct {
 	InjectedUnknowns  int64 // Unknowns forced by fault injection
 	InternalRecovered int64 // internal invariant violations degraded to Unknown
 
-	// PrecheckDeadlines counts PreCheck/PreCheckPC propagation sweeps
+	// PrecheckDeadlines counts PreCheck/PreCheckSliced propagation sweeps
 	// abandoned by the query deadline (the sweep answers Unknown and the
 	// query proceeds to the regular pipeline, which has its own deadline).
 	PrecheckDeadlines int64
@@ -99,12 +100,7 @@ type Options struct {
 	DisableCandidates bool
 	DisableIntervals  bool
 	DisableSlicing    bool
-	// Incremental reuses one persistent SAT instance with assumption
-	// literals across queries. Off by default: per-query instances keep
-	// model completion proportional to the query, which measures faster
-	// on parser workloads.
-	Incremental  bool
-	MaxConflicts int64 // 0 means a generous default
+	MaxConflicts      int64 // 0 means a generous default
 	// QueryDeadline bounds the wall clock of one Check call's SAT search
 	// (0 means none). An expired deadline yields Unknown with
 	// ErrDeadlineExceeded; cheap fast paths (candidates, intervals) are
@@ -217,74 +213,25 @@ func (s *Solver) readsOf(e *expr.Expr) []expr.SymByte {
 	return r
 }
 
-// Feasible decides whether pc ∧ cond is satisfiable. It exploits the
-// executor's invariant that pc alone is satisfiable: only the constraints
-// sharing symbolic bytes (transitively) with cond need to be rechecked,
-// which keeps branch-feasibility queries small on deep paths. On Unknown
-// the error carries the cause (ErrBudgetExhausted, ErrDeadlineExceeded,
+// Feasible decides whether pc ∧ cond is satisfiable: a one-sibling
+// FeasibleBatchSliced over cond's Slice of pc. It exploits the executor's
+// invariant that pc alone is satisfiable: only the constraints sharing
+// symbolic bytes (transitively) with cond need to be rechecked, which
+// keeps branch-feasibility queries small on deep paths. On Unknown the
+// error carries the cause (ErrBudgetExhausted, ErrDeadlineExceeded,
 // ErrInjected, or an *InternalError).
 func (s *Solver) Feasible(pc []*expr.Expr, cond *expr.Expr, hint expr.Assignment) (Result, error) {
-	if cond.IsTrue() {
-		return Sat, nil
-	}
-	if cond.IsFalse() {
-		return Unsat, nil
-	}
-	slice := s.relevantSlice(pc, cond)
-	slice = append(slice, cond)
-	r, _, err := s.check(slice, hint, true)
-	return r, err
-}
-
-// relevantSlice returns the constraints of pc transitively connected to
-// cond through shared symbolic bytes.
-func (s *Solver) relevantSlice(pc []*expr.Expr, cond *expr.Expr) []*expr.Expr {
-	want := make(map[expr.SymByte]bool)
-	for _, sb := range s.readsOf(cond) {
-		want[sb] = true
-	}
-	if len(want) == 0 {
-		return nil
-	}
-	picked := make([]bool, len(pc))
-	out := make([]*expr.Expr, 0, len(pc)/4)
-	for changed := true; changed; {
-		changed = false
-		for i, c := range pc {
-			if picked[i] {
-				continue
-			}
-			reads := s.readsOf(c)
-			hit := false
-			for _, sb := range reads {
-				if want[sb] {
-					hit = true
-					break
-				}
-			}
-			if !hit {
-				continue
-			}
-			picked[i] = true
-			out = append(out, c)
-			for _, sb := range reads {
-				if !want[sb] {
-					want[sb] = true
-					changed = true
-				}
-			}
-		}
-	}
-	return out
+	conds := []*expr.Expr{cond}
+	v := s.FeasibleBatchSliced(s.Slice(pc, conds), conds, hint)[0]
+	return v.Res, v.Err
 }
 
 // ConcretizeModel returns an assignment consistent with pc that gives e a
-// concrete value. Only the constraints transitively sharing symbolic
-// bytes with e are solved — sound because pc is satisfiable (the caller's
-// state is live) and the remaining groups are independent of e's bytes.
+// concrete value. Only e's Slice of pc is solved — sound because pc is
+// satisfiable (the caller's state is live) and the constraints left out
+// share no symbolic bytes with the slice.
 func (s *Solver) ConcretizeModel(pc []*expr.Expr, e *expr.Expr) (expr.Assignment, bool) {
-	slice := s.relevantSlice(pc, e)
-	r, m, _ := s.Check(slice, nil)
+	r, m, _ := s.Check(s.Slice(pc, []*expr.Expr{e}), nil)
 	if r != Sat {
 		return nil, false
 	}
@@ -316,7 +263,27 @@ func (s *Solver) SetMaxConflicts(n int64) int64 {
 // *InternalError (a recovered invariant violation). Unknown results are
 // never cached, so a retry with a bigger budget gets a fresh search.
 func (s *Solver) Check(constraints []*expr.Expr, hint expr.Assignment) (Result, expr.Assignment, error) {
-	return s.check(constraints, hint, false)
+	r, m, p, err := s.checkFast(constraints, hint, false)
+	if p == nil {
+		return r, m, err
+	}
+	s.queryDeadline = s.deadline()
+	if s.opts.DisableSlicing {
+		r, m, err = s.satCheck(p.live)
+	} else {
+		r, m, err = s.checkSliced(p.live)
+	}
+	s.remember(p.key, r, m)
+	if s.opts.Shared != nil {
+		s.opts.Shared.Put(p.skey, r)
+	}
+	if r == Sat {
+		s.keepRecent(m)
+	}
+	if r == Unknown {
+		s.stats.Unknowns++
+	}
+	return r, m, err
 }
 
 // sharedKey folds the constraints' structural fingerprints into one
@@ -336,112 +303,6 @@ func (s *Solver) sharedKey(constraints []*expr.Expr) uint64 {
 		}
 	}
 	return h
-}
-
-// check implements Check. verdictOnly marks queries whose caller discards
-// the model (branch-feasibility checks): those may be answered by a Sat
-// verdict from the shared cross-worker cache. Model-bearing queries only
-// take Unsat from the shared cache — models are never shared, keeping
-// each worker's model stream deterministic regardless of scheduling.
-func (s *Solver) check(constraints []*expr.Expr, hint expr.Assignment, verdictOnly bool) (Result, expr.Assignment, error) {
-	s.stats.Queries++
-
-	if inj := s.opts.Injector; inj != nil {
-		if inj.SolverUnknown() {
-			s.stats.Unknowns++
-			s.stats.InjectedUnknowns++
-			return Unknown, nil, ErrInjected
-		}
-		if d, ok := inj.SolverSlow(); ok {
-			time.Sleep(d) // an armed QueryDeadline trips in the SAT loop
-		}
-	}
-
-	// trivial scan
-	live := make([]*expr.Expr, 0, len(constraints))
-	for _, c := range constraints {
-		if c.IsTrue() {
-			continue
-		}
-		if c.IsFalse() {
-			return Unsat, nil, nil
-		}
-		live = append(live, c)
-	}
-	if len(live) == 0 {
-		return Sat, expr.Assignment{}, nil
-	}
-	live = reduceBounds(live)
-
-	key := ""
-	if !s.opts.DisableCache {
-		key = cacheKey(live)
-		if e, ok := s.cache[key]; ok {
-			s.stats.CacheHits++
-			return e.result, e.model, nil
-		}
-	}
-
-	skey := uint64(0)
-	if s.opts.Shared != nil {
-		skey = s.sharedKey(live)
-		if r, ok := s.opts.Shared.Get(skey); ok && (r == Unsat || verdictOnly) {
-			s.stats.SharedHits++
-			if r == Unsat {
-				// a Sat verdict without a model must not enter the local
-				// cache: later model-bearing queries would hit it
-				s.remember(key, Unsat, nil)
-			}
-			return r, nil, nil
-		}
-	}
-
-	if !s.opts.DisableCandidates {
-		if m, ok := s.tryCandidates(live, hint); ok {
-			s.stats.CandidateSat++
-			s.remember(key, Sat, m)
-			if s.opts.Shared != nil {
-				s.opts.Shared.Put(skey, Sat)
-			}
-			return Sat, m, nil
-		}
-	}
-
-	if !s.opts.DisableIntervals {
-		if r := intervalCheck(live); r == Unsat {
-			s.stats.IntervalFast++
-			s.remember(key, Unsat, nil)
-			if s.opts.Shared != nil {
-				s.opts.Shared.Put(skey, Unsat)
-			}
-			return Unsat, nil, nil
-		}
-	}
-
-	if s.opts.QueryDeadline > 0 {
-		s.queryDeadline = time.Now().Add(s.opts.QueryDeadline)
-	} else {
-		s.queryDeadline = time.Time{}
-	}
-	var res Result
-	var model expr.Assignment
-	var err error
-	if s.opts.DisableSlicing {
-		res, model, err = s.satCheck(live)
-	} else {
-		res, model, err = s.checkSliced(live)
-	}
-	s.remember(key, res, model)
-	if s.opts.Shared != nil {
-		s.opts.Shared.Put(skey, res)
-	}
-	if res == Sat {
-		s.keepRecent(model)
-	}
-	if res == Unknown {
-		s.stats.Unknowns++
-	}
-	return res, model, err
 }
 
 // MayBeTrue reports whether cond can hold under the path constraints; on
@@ -666,9 +527,8 @@ func (s *Solver) recoverInternal(res *Result, model *expr.Assignment, err *error
 	*res, *model, *err = Unknown, nil, ie
 }
 
-// satCheck decides a constraint set by bit-blasting + CDCL: incrementally
-// against the persistent instance by default, or with a fresh instance
-// when DisableIncremental is set.
+// satCheck decides a constraint set by bit-blasting + CDCL, on the
+// persistent incremental instance or on a fresh one (see below).
 func (s *Solver) satCheck(constraints []*expr.Expr) (res Result, model expr.Assignment, err error) {
 	defer s.recoverInternal(&res, &model, &err)
 	s.stats.SATRuns++
@@ -678,7 +538,7 @@ func (s *Solver) satCheck(constraints []*expr.Expr) (res Result, model expr.Assi
 	// make every constraint expensive to blast. Small sets use a fresh
 	// instance, whose model completion touches only the query's own
 	// variables.
-	if s.opts.Incremental || len(constraints) >= 24 {
+	if len(constraints) >= 24 {
 		return s.satCheckIncremental(constraints)
 	}
 	st := newSAT()

@@ -40,13 +40,9 @@ type Options struct {
 	// block's interval invariants before any SAT dispatch. The facts must
 	// come from the same finalised program this executor runs.
 	Static *analysis.AbsFacts
-	// BatchSiblings routes the sibling feasibility queries of one branch
-	// or switch terminator through solver.FeasibleBatch: the shared
-	// path-constraint slice is bit-blasted once and each sibling decided
-	// under an assumption literal. Verdicts are identical to individual
-	// queries but arrive in a different cache/publication order, so only
-	// the fast-mode work-stealing scheduler sets this — the deterministic
-	// schedulers keep the classic one-query-at-a-time stream.
+	// BatchSiblings is ignored. Every executor dispatches the sibling
+	// feasibility queries of a terminator as one batch (DESIGN.md §12);
+	// the field remains so existing callers keep compiling.
 	BatchSiblings bool
 }
 
@@ -511,27 +507,8 @@ func (e *Executor) execBranch(st *State, in *ir.Instr, res *StepResult) (bool, b
 		st.Idx = 0
 		return false, true
 	}
-	// A statically dead edge needs no query: the pass proved no execution
-	// reaching this terminator can take it, so the solver would answer
-	// Unsat. The other side still goes through queryFeasible (where
-	// PreCheck gets a chance before the SAT core).
-	deadTrue := e.opts.Static.EdgeInfeasible(st.Blk.ID, 0)
-	deadFalse := e.opts.Static.EdgeInfeasible(st.Blk.ID, 1)
-	canTrue, canFalse := solver.Unsat, solver.Unsat
-	if deadTrue || deadFalse {
-		e.Solver.NoteStaticPrune()
-	}
-	if e.opts.BatchSiblings && !deadTrue && !deadFalse {
-		vs := e.queryFeasibleBatch(st, []*expr.Expr{cond, e.Ctx.NotB(cond)})
-		canTrue, canFalse = vs[0], vs[1]
-	} else {
-		if !deadTrue {
-			canTrue = e.queryFeasible(st, cond)
-		}
-		if !deadFalse {
-			canFalse = e.queryFeasible(st, e.Ctx.NotB(cond))
-		}
-	}
+	vs := e.edgeFeasible(st, []*expr.Expr{cond, e.Ctx.NotB(cond)})
+	canTrue, canFalse := vs[0], vs[1]
 	// A live state's path constraints are satisfiable, so an Unsat answer
 	// on one side proves the other side feasible even when its own query
 	// stayed Unknown.
@@ -614,60 +591,32 @@ func (e *Executor) execSwitch(st *State, in *ir.Instr, res *StepResult) (bool, b
 	if e.concretizeOnly {
 		return e.concretizeSwitch(st, in, v)
 	}
-	// collect feasible (condition, target) pairs; Unknown arms are never
-	// forked into, but their presence means an empty feasible set does
-	// not prove infeasibility
-	var feasible []switchArm
-	anyUnknown := false
+	// Edge i is guarded by conds[i]: one per case value, then the default.
+	// Unknown arms are never forked into, but their presence means an
+	// empty feasible set does not prove infeasibility.
+	conds := make([]*expr.Expr, 0, len(in.Vals)+1)
 	defCond := c.True()
-	if e.opts.BatchSiblings {
-		feasible, anyUnknown, defCond = e.switchArmsBatched(st, in, v)
-	} else {
-		for i, val := range in.Vals {
-			eq := c.EqE(v, c.Const(val, v.Width()))
-			defCond = c.AndB(defCond, c.NotB(eq))
-			if e.opts.Static.EdgeInfeasible(st.Blk.ID, i) {
-				// statically dead arm: the solver would answer Unsat
-				e.Solver.NoteStaticPrune()
-				continue
-			}
-			switch e.queryFeasible(st, eq) {
-			case solver.Sat:
-				feasible = append(feasible, switchArm{cond: eq, target: in.Targets[i]})
-			case solver.Unknown:
-				anyUnknown = true
-			}
-		}
-		if e.opts.Static.EdgeInfeasible(st.Blk.ID, len(in.Vals)) {
-			e.Solver.NoteStaticPrune()
-		} else {
-			switch e.queryFeasible(st, defCond) {
-			case solver.Sat:
-				feasible = append(feasible, switchArm{cond: defCond, target: in.Targets[len(in.Vals)]})
-			case solver.Unknown:
-				anyUnknown = true
-			}
+	for _, val := range in.Vals {
+		eq := c.EqE(v, c.Const(val, v.Width()))
+		defCond = c.AndB(defCond, c.NotB(eq))
+		conds = append(conds, eq)
+	}
+	conds = append(conds, defCond)
+	var feasible []int
+	anyUnknown := false
+	for i, r := range e.edgeFeasible(st, conds) {
+		switch r {
+		case solver.Sat:
+			feasible = append(feasible, i)
+		case solver.Unknown:
+			anyUnknown = true
 		}
 	}
 	if len(feasible) == 0 {
 		if anyUnknown {
 			// every arm Unsat or Unknown: degrade by dispatching on the
 			// switch value under a concrete model of the path
-			atomic.AddInt64(&e.gov.Concretizations, 1)
-			cv := e.modelEvaluator(st).Eval(v)
-			target := in.Targets[len(in.Vals)]
-			pin := defCond
-			for i, val := range in.Vals {
-				if cv == val {
-					target = in.Targets[i]
-					pin = c.EqE(v, c.Const(val, v.Width()))
-					break
-				}
-			}
-			st.addConstraint(pin)
-			st.Blk = target
-			st.Idx = 0
-			return false, true
+			return e.concretizeSwitch(st, in, v)
 		}
 		e.terminate(st)
 		res.Terminated = true
@@ -675,21 +624,21 @@ func (e *Executor) execSwitch(st *State, in *ir.Instr, res *StepResult) (bool, b
 		return true, false
 	}
 	// current state takes the first arm; fork the rest
-	for _, a := range feasible[1:] {
+	for _, i := range feasible[1:] {
 		if e.opts.MaxStates > 0 && e.liveStates >= e.opts.MaxStates {
 			break
 		}
 		other := st.fork(e.nextStateID, e.clock)
 		e.nextStateID++
 		e.register(other)
-		other.addConstraint(a.cond)
-		other.Blk = a.target
+		other.addConstraint(conds[i])
+		other.Blk = in.Targets[i]
 		other.Idx = 0
 		res.Added = append(res.Added, other)
 		attachToPTree(st, other)
 	}
-	st.addConstraint(feasible[0].cond)
-	st.Blk = feasible[0].target
+	st.addConstraint(conds[feasible[0]])
+	st.Blk = in.Targets[feasible[0]]
 	st.Idx = 0
 	if len(res.Added) > 0 {
 		return true, true
@@ -697,57 +646,35 @@ func (e *Executor) execSwitch(st *State, in *ir.Instr, res *StepResult) (bool, b
 	return false, true
 }
 
-// switchArm is one feasible (condition, target) pair of a symbolic
-// switch dispatch.
-type switchArm struct {
-	cond   *expr.Expr
-	target *ir.Block
-}
-
-// switchArmsBatched is execSwitch's arm-collection pass under
-// Options.BatchSiblings: all live arm conditions (plus the default's)
-// go through queryFeasibleBatch as one sibling set, so the shared
-// scrutinee slice is bit-blasted once instead of once per arm. The
-// returned arms, Unknown flag and default condition feed the same
-// fork/degrade logic as the classic per-arm loop.
-func (e *Executor) switchArmsBatched(st *State, in *ir.Instr, v *expr.Expr) ([]switchArm, bool, *expr.Expr) {
-	c := e.Ctx
-	conds := make([]*expr.Expr, 0, len(in.Vals)+1)
-	targets := make([]*ir.Block, 0, len(in.Vals)+1)
-	defCond := c.True()
-	for i, val := range in.Vals {
-		eq := c.EqE(v, c.Const(val, v.Width()))
-		defCond = c.AndB(defCond, c.NotB(eq))
+// edgeFeasible decides the successor edges of st's terminator, conds[i]
+// guarding edge i (branch: cond, ¬cond; switch: each case, then the
+// default). An edge the abstract-interpretation pass proved dead is
+// Unsat without a query — no execution reaching the terminator can take
+// it, so the solver would agree. The live edges go through
+// queryFeasibleBatch as one sibling set.
+func (e *Executor) edgeFeasible(st *State, conds []*expr.Expr) []solver.Result {
+	out := make([]solver.Result, len(conds))
+	live := make([]*expr.Expr, 0, len(conds))
+	idx := make([]int, 0, len(conds))
+	for i, cond := range conds {
 		if e.opts.Static.EdgeInfeasible(st.Blk.ID, i) {
 			e.Solver.NoteStaticPrune()
+			out[i] = solver.Unsat
 			continue
 		}
-		conds = append(conds, eq)
-		targets = append(targets, in.Targets[i])
+		live = append(live, cond)
+		idx = append(idx, i)
 	}
-	if e.opts.Static.EdgeInfeasible(st.Blk.ID, len(in.Vals)) {
-		e.Solver.NoteStaticPrune()
-	} else {
-		conds = append(conds, defCond)
-		targets = append(targets, in.Targets[len(in.Vals)])
+	for j, r := range e.queryFeasibleBatch(st, st.PathConstraints(), live, true) {
+		out[idx[j]] = r
 	}
-	var feasible []switchArm
-	anyUnknown := false
-	for i, r := range e.queryFeasibleBatch(st, conds) {
-		switch r {
-		case solver.Sat:
-			feasible = append(feasible, switchArm{cond: conds[i], target: targets[i]})
-		case solver.Unknown:
-			anyUnknown = true
-		}
-	}
-	return feasible, anyUnknown, defCond
+	return out
 }
 
-// concretizeSwitch degrades a symbolic switch in concretize-only mode:
+// concretizeSwitch degrades a symbolic switch — in concretize-only mode,
+// or when every arm stayed Unsat or Unknown with at least one Unknown:
 // the switch value is evaluated under a concrete model of the path and
-// execution continues single-path into the matching arm, mirroring the
-// every-arm-Unknown fallback in execSwitch.
+// execution continues single-path into the matching arm.
 func (e *Executor) concretizeSwitch(st *State, in *ir.Instr, v *expr.Expr) (bool, bool) {
 	c := e.Ctx
 	atomic.AddInt64(&e.gov.Concretizations, 1)

@@ -79,55 +79,31 @@ func (e *Executor) Gov() GovStats {
 // at maxQuarantineRecords; Gov().Quarantines is the true count).
 func (e *Executor) QuarantineRecords() []QuarantineRecord { return e.quarantined }
 
-// queryFeasible decides whether cond can hold on st's path, treating
-// solver.Unknown as a first-class outcome: an Unknown first attempt is
-// retried once with a budgetEscalation× conflict budget. The caller sees
-// Unknown only when both attempts gave up.
+// queryFeasible decides whether cond can hold on st's path: a
+// one-condition queryFeasibleBatch.
 func (e *Executor) queryFeasible(st *State, cond *expr.Expr) solver.Result {
-	if cond.IsTrue() {
-		return solver.Sat
-	}
-	if cond.IsFalse() {
-		return solver.Unsat
-	}
-	if e.opts.Static != nil {
-		// Static pruning: try to decide the query from interval facts
-		// alone before any SAT dispatch. Unsat verdicts are sound
-		// unconditionally; Sat verdicts rely on live states keeping
-		// satisfiable path constraints, which holds whenever no query
-		// degraded to Unknown (tracked in GovStats.SolverUnknowns).
-		if r := e.Solver.PreCheckPC(st.PathConstraints(), cond, e.staticFacts(st)); r != solver.Unknown {
-			return r
-		}
-	}
-	var hint expr.Assignment
-	if e.concolic != nil {
-		hint = e.concolic.asn
-	}
-	r, _ := e.Solver.Feasible(st.PathConstraints(), cond, hint)
-	if r != solver.Unknown {
-		return r
-	}
-	atomic.AddInt64(&e.gov.SolverUnknowns, 1)
-	atomic.AddInt64(&e.gov.SolverRetries, 1)
-	prev := e.Solver.SetMaxConflicts(e.Solver.MaxConflicts() * budgetEscalation)
-	r, _ = e.Solver.Feasible(st.PathConstraints(), cond, hint)
-	e.Solver.SetMaxConflicts(prev)
-	return r
+	return e.queryFeasibleBatch(st, st.PathConstraints(), []*expr.Expr{cond}, true)[0]
 }
 
-// queryFeasibleBatch is queryFeasible over the sibling conditions of
-// one terminator (branch: cond/¬cond; switch: every live arm plus the
-// default). The path is sliced ONCE for the whole sibling set
-// (SliceMulti) and that union slice feeds both the static precheck and
-// the SAT dispatch — the unbatched pipeline re-slices the path twice
-// per sibling, which profiles as the dominant cost of deep paths.
-// Trivial and statically decided siblings are answered inline; the rest
-// go through solver.FeasibleBatchSliced, which blasts the shared slice
-// once. The Unknown policy matches queryFeasible exactly: each Unknown
-// sibling gets the governance counters and one individually escalated
-// retry.
-func (e *Executor) queryFeasibleBatch(st *State, conds []*expr.Expr) []solver.Result {
+// queryFeasibleBatch decides, for each sibling condition of one
+// terminator (branch: cond/¬cond; switch: every live arm plus the
+// default; bounds check: oob/in-bounds), whether it can hold on top of
+// the constraint prefix — st's path constraints, except when validating
+// a seedState (validatePC). The prefix is sliced ONCE for the whole
+// sibling set and that union slice feeds both the static precheck and
+// the SAT dispatch. Trivial and statically decided siblings are answered
+// inline; the rest go through solver.FeasibleBatchSliced, which blasts
+// the shared slice once. static enables the precheck against the
+// abstract-interpretation facts of st's program point; it must be false
+// when the prefix does not end at that point (validatePC), because the
+// facts then describe only executions that already took the edge being
+// validated.
+//
+// solver.Unknown is a first-class outcome: each Unknown sibling is
+// counted in the governance counters and retried once, individually,
+// with a budgetEscalation× conflict budget. The caller sees Unknown only
+// when both attempts gave up.
+func (e *Executor) queryFeasibleBatch(st *State, prefix, conds []*expr.Expr, static bool) []solver.Result {
 	out := make([]solver.Result, len(conds))
 	pending := make([]*expr.Expr, 0, len(conds))
 	idx := make([]int, 0, len(conds))
@@ -135,7 +111,7 @@ func (e *Executor) queryFeasibleBatch(st *State, conds []*expr.Expr) []solver.Re
 	sliced := false
 	ensureSlice := func() []*expr.Expr {
 		if !sliced {
-			slice = e.Solver.SliceMulti(st.PathConstraints(), conds)
+			slice = e.Solver.Slice(prefix, conds)
 			sliced = true
 		}
 		return slice
@@ -147,7 +123,12 @@ func (e *Executor) queryFeasibleBatch(st *State, conds []*expr.Expr) []solver.Re
 		case cond.IsFalse():
 			out[i] = solver.Unsat
 		default:
-			if e.opts.Static != nil {
+			if static && e.opts.Static != nil {
+				// Static pruning: try to decide the query from interval
+				// facts before any SAT dispatch. Unsat verdicts are sound
+				// unconditionally; Sat verdicts rely on live states keeping
+				// satisfiable path constraints, which holds whenever no
+				// query degraded to Unknown (GovStats.SolverUnknowns).
 				if r := e.Solver.PreCheckSliced(ensureSlice(), cond, e.staticFacts(st)); r != solver.Unknown {
 					out[i] = r
 					continue
@@ -170,7 +151,7 @@ func (e *Executor) queryFeasibleBatch(st *State, conds []*expr.Expr) []solver.Re
 			atomic.AddInt64(&e.gov.SolverUnknowns, 1)
 			atomic.AddInt64(&e.gov.SolverRetries, 1)
 			prev := e.Solver.SetMaxConflicts(e.Solver.MaxConflicts() * budgetEscalation)
-			r, _ = e.Solver.Feasible(st.PathConstraints(), pending[j], hint)
+			r, _ = e.Solver.Feasible(prefix, pending[j], hint)
 			e.Solver.SetMaxConflicts(prev)
 		}
 		out[idx[j]] = r
@@ -182,54 +163,15 @@ func (e *Executor) queryFeasibleBatch(st *State, conds []*expr.Expr) []solver.Re
 // state's constraints are the concolic path's — satisfiable, the seed
 // input executed it — plus the one negated-branch constraint appended at
 // fork time, so the full-path check is equisatisfiable with one sliced
-// feasibility query of that last constraint against the rest (the
-// relevantSlice argument: dropped constraints share no symbolic bytes
-// with the slice's closure and are themselves satisfiable). The batched
-// pipeline uses the sliced form; the legacy pipeline keeps the full
-// check, which is the pinned baseline behaviour.
+// feasibility query of that last constraint against the rest (dropped
+// constraints share no symbolic bytes with the slice's closure and are
+// themselves satisfiable).
 func (e *Executor) validatePC(st *State) solver.Result {
-	if !e.opts.BatchSiblings {
-		return e.checkPC(st)
-	}
 	pc := st.PathConstraints()
 	if len(pc) == 0 {
 		return solver.Sat
 	}
-	return e.queryFeasiblePrefix(pc[:len(pc)-1], pc[len(pc)-1])
-}
-
-// queryFeasiblePrefix is queryFeasible with an explicit constraint
-// prefix instead of the state's full pc.
-func (e *Executor) queryFeasiblePrefix(prefix []*expr.Expr, cond *expr.Expr) solver.Result {
-	var hint expr.Assignment
-	if e.concolic != nil {
-		hint = e.concolic.asn
-	}
-	r, _ := e.Solver.Feasible(prefix, cond, hint)
-	if r != solver.Unknown {
-		return r
-	}
-	atomic.AddInt64(&e.gov.SolverUnknowns, 1)
-	atomic.AddInt64(&e.gov.SolverRetries, 1)
-	prev := e.Solver.SetMaxConflicts(e.Solver.MaxConflicts() * budgetEscalation)
-	r, _ = e.Solver.Feasible(prefix, cond, hint)
-	e.Solver.SetMaxConflicts(prev)
-	return r
-}
-
-// checkPC decides satisfiability of st's full path constraints with the
-// same Unknown-retry policy as queryFeasible.
-func (e *Executor) checkPC(st *State) solver.Result {
-	r, _, _ := e.Solver.Check(st.PathConstraints(), nil)
-	if r != solver.Unknown {
-		return r
-	}
-	atomic.AddInt64(&e.gov.SolverUnknowns, 1)
-	atomic.AddInt64(&e.gov.SolverRetries, 1)
-	prev := e.Solver.SetMaxConflicts(e.Solver.MaxConflicts() * budgetEscalation)
-	r, _, _ = e.Solver.Check(st.PathConstraints(), nil)
-	e.Solver.SetMaxConflicts(prev)
-	return r
+	return e.queryFeasibleBatch(st, pc[:len(pc)-1], pc[len(pc)-1:], false)[0]
 }
 
 // modelEvaluator returns an evaluator for some concrete input consistent

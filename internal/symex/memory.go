@@ -71,46 +71,31 @@ func (e *Executor) checkBounds(st *State, in *ir.Instr, r *resolved, size int, w
 		return r.off
 	}
 	oob := c.NotB(inBounds)
-	if e.opts.BatchSiblings {
-		// Batched dispatch: oob and inBounds read the same symbolic
-		// bytes, so both questions resolve on one path slice and one SAT
-		// instance instead of four separate slicing passes. The witness
-		// model a report needs is only extracted when an OOB is actually
-		// possible (mayBeTrue re-asks, but from a warm cache).
-		vs := e.queryFeasibleBatch(st, []*expr.Expr{oob, inBounds})
-		if vs[0] == solver.Sat {
-			// The full-path witness model is only worth solving once per
-			// site: a success is deduplicated by the collector afterwards,
-			// and a failure (witness solve gave up) would repeat the same
-			// doomed query on every later execution of this instruction.
-			wkey := int64(st.Blk.ID)<<32 | int64(uint32(instrIndex(st.Blk, in)))
-			if !e.witnessTried[wkey] {
-				if e.witnessTried == nil {
-					e.witnessTried = make(map[int64]bool, 16)
-				}
-				e.witnessTried[wkey] = true
-				if ok, m := e.mayBeTrue(st, oob); ok {
-					e.report(st, in, kind,
-						fmt.Sprintf("offset can reach beyond object %d (size %d, access %d bytes)", r.objID, obj.size, size), m, res)
-				}
+	// oob and inBounds read the same symbolic bytes, so both questions
+	// resolve on one path slice and one SAT instance. The witness model a
+	// report needs is only extracted when an OOB is actually possible
+	// (mayBeTrue re-asks, but from a warm cache).
+	vs := e.queryFeasibleBatch(st, st.PathConstraints(), []*expr.Expr{oob, inBounds}, true)
+	if vs[0] == solver.Sat {
+		// The full-path witness model is only worth solving once per
+		// site: a success is deduplicated by the collector afterwards,
+		// and a failure (witness solve gave up) would repeat the same
+		// doomed query on every later execution of this instruction.
+		wkey := int64(st.Blk.ID)<<32 | int64(uint32(instrIndex(st.Blk, in)))
+		if !e.witnessTried[wkey] {
+			if e.witnessTried == nil {
+				e.witnessTried = make(map[int64]bool, 16)
+			}
+			e.witnessTried[wkey] = true
+			if ok, m := e.mayBeTrue(st, oob); ok {
+				e.report(st, in, kind,
+					fmt.Sprintf("offset can reach beyond object %d (size %d, access %d bytes)", r.objID, obj.size, size), m, res)
 			}
 		}
-		// Unknown degrades to "yes" exactly like feasible: only a
-		// definite Unsat may kill a reachable state.
-		if vs[1] == solver.Unsat {
-			e.terminate(st)
-			res.Terminated = true
-			res.Reason = TermFault
-			return nil
-		}
-		st.addConstraint(inBounds)
-		return r.off
 	}
-	if ok, m := e.mayBeTrue(st, oob); ok {
-		e.report(st, in, kind,
-			fmt.Sprintf("offset can reach beyond object %d (size %d, access %d bytes)", r.objID, obj.size, size), m, res)
-	}
-	if !e.feasible(st, inBounds) {
+	// Unknown degrades to "yes" exactly like feasible: only a definite
+	// Unsat may kill a reachable state.
+	if vs[1] == solver.Unsat {
 		e.terminate(st)
 		res.Terminated = true
 		res.Reason = TermFault
