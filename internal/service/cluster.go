@@ -581,10 +581,10 @@ func (s *Service) ClusterStats() ClusterStats {
 
 // SliceExec executes dispatched slices on a worker node: the
 // cluster.ExecFunc side of the protocol. It caches one handle per
-// campaign — safe because every Step re-resumes from the shared
-// on-disk checkpoint, so interleaving with slices run elsewhere is
-// invisible — and fences each campaign's store on the dispatching
-// owner's lease identity before stepping.
+// campaign until a slice finishes or fails it — safe because every
+// Step re-resumes from the shared on-disk checkpoint, so interleaving
+// with slices run elsewhere is invisible — and fences each campaign's
+// store on the dispatching owner's lease identity before stepping.
 type SliceExec struct {
 	root *store.Root
 	cfg  Config
@@ -617,6 +617,11 @@ func (e *SliceExec) Exec(req cluster.SliceRequest) (out cluster.SliceResult) {
 	defer func() {
 		if r := recover(); r != nil {
 			out = cluster.SliceResult{Error: fmt.Sprintf("slice panicked: %v", r)}
+		}
+		if out.Finished || out.Error != "" {
+			e.mu.Lock()
+			delete(e.handles, req.Campaign)
+			e.mu.Unlock()
 		}
 	}()
 	var spec Spec

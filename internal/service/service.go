@@ -661,7 +661,15 @@ func (s *Service) runSlice(c *Campaign) {
 }
 
 // runLocalSlice advances c one slice in-process and shapes the result.
-func (s *Service) runLocalSlice(c *Campaign) sliceOutcome {
+// A slice that ends the campaign drops its handle: the executor, solver
+// caches and state pool are freed now, not when the daemon exits (a
+// Resume rebuilds the handle from the on-disk checkpoint).
+func (s *Service) runLocalSlice(c *Campaign) (out sliceOutcome) {
+	defer func() {
+		if out.err != nil || out.noop || out.finished {
+			c.handle = nil
+		}
+	}()
 	res, err := s.stepCampaign(c)
 	if err != nil {
 		return sliceOutcome{err: err}
@@ -669,7 +677,7 @@ func (s *Service) runLocalSlice(c *Campaign) sliceOutcome {
 	if res == nil { // already-finished handle (cannot happen in normal flow)
 		return sliceOutcome{noop: true}
 	}
-	out := sliceOutcome{
+	out = sliceOutcome{
 		finished: !res.Interrupted,
 		clock:    res.Executor.Clock(),
 		covered:  res.Covered,

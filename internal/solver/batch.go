@@ -7,18 +7,19 @@ import (
 )
 
 // Batched sibling dispatch (DESIGN.md §12), the only feasibility
-// pipeline. A branch or switch terminator asks one feasibility question
-// per successor edge, and all of those questions share the same
-// path-constraint slice: cond and ¬cond read the same symbolic bytes,
-// and every switch arm reads the scrutinee's. FeasibleBatchSliced runs
-// the cheap pipeline (caches, candidates, intervals) per sibling and
-// then blasts the shared slice ONCE into a single fresh SAT instance,
-// deciding each leftover sibling under an assumption literal — the same
-// mechanism satCheckIncremental uses against the persistent instance,
-// so the soundness argument is identical: Tseitin gates are
-// biconditional, an unasserted sibling leaves the formula
-// unconstrained. A single feasibility query (Feasible) is the
-// one-sibling case.
+// pipeline and the only SAT path. A branch or switch terminator asks one
+// feasibility question per successor edge, and all of those questions
+// share the same path-constraint slice: cond and ¬cond read the same
+// symbolic bytes, and every switch arm reads the scrutinee's.
+// FeasibleBatchSliced runs the cheap pipeline (caches, candidates,
+// intervals) per sibling and then blasts the shared slice ONCE into a
+// single fresh SAT instance, deciding each leftover sibling under an
+// assumption literal. Tseitin gates are biconditional, so an unasserted
+// sibling leaves the formula unconstrained and each solve decides
+// exactly slice ∧ cond. A single feasibility query (Feasible) is the
+// one-sibling case, and Check is a one-entry batch with no assumption.
+// Every instance is fresh, so a verdict and its model depend only on
+// the query, never on what the solver answered before.
 //
 // Soundness of the shared slice: each sibling's own relevant slice is a
 // subset of the union slice, and the extra constraints the union pulls
@@ -33,13 +34,15 @@ import (
 type BatchVerdict struct {
 	Res Result
 	Err error
+
+	model expr.Assignment // the Sat model, returned by Check
 }
 
 // pendingQuery is a query that survived the cheap pipeline and needs the
 // SAT core.
 type pendingQuery struct {
-	idx  int // index into the caller's conds slice (batches only)
-	cond *expr.Expr
+	idx  int          // index into the caller's conds slice (batches only)
+	cond *expr.Expr   // the assumed sibling condition; nil for Check
 	live []*expr.Expr // the reduced constraint set (Check only)
 	key  string       // local-cache key of the reduced constraint set
 	skey uint64       // shared-cache fingerprint of the reduced set
@@ -106,8 +109,12 @@ func (s *Solver) FeasibleBatchSliced(slice []*expr.Expr, conds []*expr.Expr, hin
 // the conds through shared symbolic bytes (conservatively, modulo mask
 // collisions — see above). The executor computes it once per terminator
 // and reuses it for the static precheck (PreCheckSliced) and the SAT
-// dispatch (FeasibleBatchSliced).
+// dispatch (FeasibleBatchSliced). With Options.DisableSlicing it returns
+// a copy of the whole pc.
 func (s *Solver) Slice(pc []*expr.Expr, conds []*expr.Expr) []*expr.Expr {
+	if s.opts.DisableSlicing {
+		return append([]*expr.Expr(nil), pc...)
+	}
 	var want expr.ReadMask
 	for _, cond := range conds {
 		if m := cond.ReadMask(); m != nil {
@@ -272,14 +279,15 @@ func (s *Solver) checkFast(constraints []*expr.Expr, hint expr.Assignment, verdi
 	return Unknown, nil, &pendingQuery{live: live, key: key, skey: skey}, nil
 }
 
-// batchSAT decides the pending siblings on one fresh SAT instance: the
-// shared slice is asserted true and blasted once, then each sibling's
-// condition becomes an assumption literal for its own bounded solve. A
-// recovered internal invariant violation degrades the current and all
-// remaining siblings to Unknown, mirroring the per-query recover
-// boundary of satCheck.
+// batchSAT decides the pending queries on one fresh SAT instance: the
+// shared slice is asserted true and blasted once, then each query's
+// condition becomes an assumption literal for its own bounded solve (a
+// nil condition solves the slice alone). It is the only code that
+// builds a SAT instance, and it publishes every verdict: local and
+// shared caches, recent candidates, the Unknown counters. A recovered
+// internal invariant violation degrades the current and all remaining
+// queries to Unknown (see the package panic policy).
 func (s *Solver) batchSAT(slice []*expr.Expr, pending []pendingQuery, out []BatchVerdict) {
-	s.queryDeadline = s.deadline()
 	next := 0
 	defer func() {
 		p := recover()
@@ -298,7 +306,7 @@ func (s *Solver) batchSAT(slice []*expr.Expr, pending []pendingQuery, out []Batc
 	}()
 
 	st := newSAT()
-	st.deadline = s.queryDeadline
+	st.deadline = s.deadline()
 	bl := newBlaster(st)
 	for _, c := range slice {
 		bl.assertTrue(c)
@@ -306,9 +314,12 @@ func (s *Solver) batchSAT(slice []*expr.Expr, pending []pendingQuery, out []Batc
 	for ; next < len(pending); next++ {
 		b := &pending[next]
 		s.stats.SATRuns++
-		assump := bl.blast(b.cond)[0]
+		var assumps []Lit
+		if b.cond != nil {
+			assumps = []Lit{bl.blast(b.cond)[0]}
+		}
 		before := st.conflicts
-		verdict := st.solveWith([]Lit{assump}, s.opts.MaxConflicts)
+		verdict := st.solveWith(assumps, s.opts.MaxConflicts)
 		s.stats.Conflicts += st.conflicts - before
 		switch verdict {
 		case lFalse:
@@ -328,7 +339,7 @@ func (s *Solver) batchSAT(slice []*expr.Expr, pending []pendingQuery, out []Batc
 				s.opts.Shared.Put(b.skey, Sat)
 			}
 			s.keepRecent(m)
-			out[b.idx] = BatchVerdict{Res: Sat}
+			out[b.idx] = BatchVerdict{Res: Sat, model: m}
 		}
 	}
 }

@@ -30,8 +30,8 @@ type InternalError struct {
 
 func (e *InternalError) Error() string { return "solver: internal error: " + e.Msg }
 
-// throwInternal raises an *InternalError through panic; satCheck and
-// satCheckIncremental recover it at the query boundary.
+// throwInternal raises an *InternalError through panic; batchSAT
+// recovers it at the query boundary.
 func throwInternal(format string, args ...any) {
 	panic(&InternalError{Msg: fmt.Sprintf(format, args...)})
 }

@@ -142,41 +142,6 @@ func TestSeededIntervalRefutesLoopExit(t *testing.T) {
 	}
 }
 
-// TestIncrementalMatchesFresh: the persistent incremental instance and
-// fresh per-query instances agree on random query sequences sharing
-// constraints.
-func TestIncrementalMatchesFresh(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	c := expr.NewContext()
-	arr := expr.NewArray("in", 2)
-	inc := New(Options{})
-	fresh := New(Options{DisableCandidates: true, DisableCache: true, DisableIntervals: true, DisableSlicing: true})
-
-	var pool []*expr.Expr
-	for i := 0; i < 24; i++ {
-		pool = append(pool, expr.RandBoolExpr(c, rng, arr, 2))
-	}
-	for q := 0; q < 40; q++ {
-		var cs []*expr.Expr
-		for i := 0; i < 1+rng.Intn(3); i++ {
-			cs = append(cs, pool[rng.Intn(len(pool))])
-		}
-		r1, m1, _ := inc.satCheckIncremental(cs)
-		r2, _, _ := fresh.Check(cs, nil)
-		if r1 != r2 {
-			t.Fatalf("query %d: incremental=%v fresh=%v for %v", q, r1, r2, cs)
-		}
-		if r1 == Sat {
-			ev := expr.NewEvaluator(m1)
-			for _, e := range cs {
-				if !ev.EvalBool(e) {
-					t.Fatalf("query %d: incremental model invalid for %v", q, e)
-				}
-			}
-		}
-	}
-}
-
 // TestFeasibleMatchesMayBeTrue: the sliced feasibility check agrees with
 // the full check whenever the path constraints are satisfiable.
 func TestFeasibleMatchesMayBeTrue(t *testing.T) {

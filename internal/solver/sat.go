@@ -3,10 +3,14 @@
 //
 // The pipeline mirrors what STP does for KLEE: expression simplification
 // happens in package expr; this package adds candidate-model fast paths,
-// unsigned interval propagation, independent-constraint slicing, Tseitin
-// bit-blasting to CNF, and a CDCL SAT solver with two-watched-literal
-// propagation, VSIDS-style activities, first-UIP clause learning and Luby
-// restarts.
+// unsigned interval propagation, read-mask slicing of feasibility
+// queries, Tseitin bit-blasting to CNF, and a CDCL SAT solver with
+// two-watched-literal propagation, VSIDS-style activities, first-UIP
+// clause learning and Luby restarts. Every query that reaches SAT is
+// decided on a fresh instance built by batchSAT (siblings of one
+// terminator share it under assumption literals), so no CDCL state
+// (learned clauses, activities, saved phases) carries from one query to
+// the next.
 //
 // # Panic and error policy
 //
@@ -16,10 +20,11 @@
 // internal-invariant violation inside a query — a bit-blast width
 // mismatch, an unloweable expression kind, a failed CDCL enqueue — is
 // raised as an *InternalError via throwInternal and recovered at the
-// satCheck/satCheckIncremental boundary, where it becomes an Unknown
-// verdict with the error attached. Plain panics are reserved for true
-// programmer errors at the API edge (malformed expressions constructed
-// outside this package), which no caller can meaningfully handle.
+// batchSAT boundary (every SAT instance is built and solved there),
+// where it becomes an Unknown verdict with the error attached. Plain
+// panics are reserved for true programmer errors at the API edge
+// (malformed expressions constructed outside this package), which no
+// caller can meaningfully handle.
 package solver
 
 import (
@@ -80,7 +85,6 @@ type sat struct {
 	conflicts    int64
 	decisions    int64
 	propagations int64
-	maxConflicts int64
 
 	// deadline bounds the wall clock of the current solveWith call (zero
 	// means none); undefReason records why the last call returned lUndef.
@@ -102,7 +106,7 @@ const (
 )
 
 func newSAT() *sat {
-	return &sat{varInc: 1, ok: true, maxConflicts: 1 << 62}
+	return &sat{varInc: 1, ok: true}
 }
 
 // newVar allocates a fresh variable and returns its index.
@@ -368,12 +372,9 @@ func luby(i int64) int64 {
 	}
 }
 
-// solve runs the CDCL loop; it returns lTrue (sat), lFalse (unsat), or
-// lUndef when the conflict budget is exhausted.
-func (s *sat) solve() int8 { return s.solveWith(nil, s.maxConflicts) }
-
 // solveWith runs CDCL under the given assumption literals (decided first,
-// one per level). On lTrue the assignment is left intact for model
+// one per level). It returns lTrue (sat), lFalse (unsat), or lUndef when
+// the conflict budget or the deadline runs out. On lTrue the assignment is left intact for model
 // extraction; call reset() before the next query. lFalse means the
 // formula is unsatisfiable under the assumptions (the instance stays
 // usable unless a level-0 conflict made it permanently unsat).

@@ -99,12 +99,12 @@ type Options struct {
 	DisableCache      bool
 	DisableCandidates bool
 	DisableIntervals  bool
-	DisableSlicing    bool
+	DisableSlicing    bool  // Slice returns the whole pc
 	MaxConflicts      int64 // 0 means a generous default
-	// QueryDeadline bounds the wall clock of one Check call's SAT search
-	// (0 means none). An expired deadline yields Unknown with
-	// ErrDeadlineExceeded; cheap fast paths (candidates, intervals) are
-	// never cut short.
+	// QueryDeadline bounds the wall clock of one SAT dispatch (a Check
+	// call's, or one batch of siblings'; 0 means none). An expired
+	// deadline yields Unknown with ErrDeadlineExceeded; cheap fast paths
+	// (candidates, intervals) are never cut short.
 	QueryDeadline time.Duration
 	// Injector, when non-nil, is consulted per query for injected faults
 	// (see package faultinject).
@@ -143,25 +143,12 @@ type Solver struct {
 	// zeroFF caches the all-zero and all-0xff candidates per array set
 	// signature (cheap: there is usually exactly one input array)
 	zero, ff *candidate
-	// readsMemo caches the symbolic bytes referenced by each expression
-	readsMemo map[*expr.Expr][]expr.SymByte
 	// fpMemo caches structural fingerprints (shared-cache keys)
 	fpMemo map[*expr.Expr]uint64
 	// maskScratch/pickScratch are reused fixpoint buffers for the union
 	// slicer (one live call per solver; solvers are not concurrent).
 	maskScratch []*expr.ReadMask
 	pickScratch []bool
-
-	// persistent incremental SAT instance: every distinct constraint is
-	// bit-blasted once; queries are solved under assumptions (the
-	// constraints' output literals)
-	psat   *sat
-	pblast *blaster
-
-	// queryDeadline is the wall-clock deadline of the Check call in
-	// progress (zero when none); set once per query so every sliced
-	// sub-solve shares it.
-	queryDeadline time.Time
 }
 
 // candidate pairs an assignment with a persistent memoising evaluator:
@@ -187,10 +174,9 @@ func New(opts Options) *Solver {
 		opts.MaxConflicts = 3000
 	}
 	return &Solver{
-		opts:      opts,
-		cache:     make(map[string]cacheEntry, 256),
-		readsMemo: make(map[*expr.Expr][]expr.SymByte, 1024),
-		fpMemo:    make(map[*expr.Expr]uint64, 1024),
+		opts:   opts,
+		cache:  make(map[string]cacheEntry, 256),
+		fpMemo: make(map[*expr.Expr]uint64, 1024),
 	}
 }
 
@@ -201,16 +187,6 @@ func (s *Solver) AddCandidate(asn expr.Assignment) {
 	if asn != nil {
 		s.standing = append(s.standing, newCandidate(asn))
 	}
-}
-
-// readsOf returns (and caches) the symbolic bytes referenced by e.
-func (s *Solver) readsOf(e *expr.Expr) []expr.SymByte {
-	if r, ok := s.readsMemo[e]; ok {
-		return r
-	}
-	r := expr.Reads(e)
-	s.readsMemo[e] = r
-	return r
 }
 
 // Feasible decides whether pc ∧ cond is satisfiable: a one-sibling
@@ -262,28 +238,17 @@ func (s *Solver) SetMaxConflicts(n int64) int64 {
 // ErrBudgetExhausted, ErrDeadlineExceeded, ErrInjected, or an
 // *InternalError (a recovered invariant violation). Unknown results are
 // never cached, so a retry with a bigger budget gets a fresh search.
+// Past the cheap pipeline, Check is a one-entry batch: the whole reduced
+// constraint set is blasted into a fresh instance and solved without
+// assumptions, so the model depends only on the query.
 func (s *Solver) Check(constraints []*expr.Expr, hint expr.Assignment) (Result, expr.Assignment, error) {
 	r, m, p, err := s.checkFast(constraints, hint, false)
 	if p == nil {
 		return r, m, err
 	}
-	s.queryDeadline = s.deadline()
-	if s.opts.DisableSlicing {
-		r, m, err = s.satCheck(p.live)
-	} else {
-		r, m, err = s.checkSliced(p.live)
-	}
-	s.remember(p.key, r, m)
-	if s.opts.Shared != nil {
-		s.opts.Shared.Put(p.skey, r)
-	}
-	if r == Sat {
-		s.keepRecent(m)
-	}
-	if r == Unknown {
-		s.stats.Unknowns++
-	}
-	return r, m, err
+	out := make([]BatchVerdict, 1)
+	s.batchSAT(p.live, []pendingQuery{*p}, out)
+	return out[0].Res, out[0].model, out[0].Err
 }
 
 // sharedKey folds the constraints' structural fingerprints into one
@@ -440,68 +405,6 @@ func reduceBounds(live []*expr.Expr) []*expr.Expr {
 	return out
 }
 
-// checkSliced partitions constraints into independent groups (no shared
-// symbolic bytes) and solves each group separately, merging the models.
-func (s *Solver) checkSliced(constraints []*expr.Expr) (Result, expr.Assignment, error) {
-	groups := sliceIndependent(constraints)
-	if len(groups) <= 1 {
-		return s.satCheck(constraints)
-	}
-	// Merge into a fresh assignment, copying from each group's model only
-	// the bytes that group constrains: cached models can cover the whole
-	// input (candidate-sourced entries), and copying foreign bytes would
-	// clobber other groups' solutions. Models may also be shared via the
-	// cache and must never be mutated.
-	merged := expr.Assignment{}
-	for _, g := range groups {
-		r, m, err := s.cachedSatCheck(g)
-		if r != Sat {
-			return r, nil, err
-		}
-		for _, c := range g {
-			for _, sb := range s.readsOf(c) {
-				dst, ok := merged[sb.Arr]
-				if !ok {
-					dst = make([]byte, sb.Arr.Size)
-					merged[sb.Arr] = dst
-				}
-				dst[sb.Idx] = m.ByteOf(sb.Arr, sb.Idx)
-			}
-		}
-	}
-	return Sat, merged, nil
-}
-
-// cachedSatCheck consults the query cache per independent group before
-// bit-blasting — groups repeat heavily across queries on one path.
-func (s *Solver) cachedSatCheck(constraints []*expr.Expr) (Result, expr.Assignment, error) {
-	key := ""
-	if !s.opts.DisableCache {
-		key = cacheKey(constraints)
-		if e, ok := s.cache[key]; ok {
-			s.stats.CacheHits++
-			return e.result, e.model, nil
-		}
-	}
-	skey := uint64(0)
-	if s.opts.Shared != nil {
-		// per-group Unsat short-circuit: an Unsat group decides the whole
-		// sliced query, and needs no model
-		skey = s.sharedKey(constraints)
-		if r, ok := s.opts.Shared.Get(skey); ok && r == Unsat {
-			s.stats.SharedHits++
-			s.remember(key, Unsat, nil)
-			return Unsat, nil, nil
-		}
-	}
-	r, m, err := s.satCheck(constraints)
-	s.remember(key, r, m)
-	if s.opts.Shared != nil {
-		s.opts.Shared.Put(skey, r)
-	}
-	return r, m, err
-}
-
 // undefError maps a SAT instance's lUndef reason to the public cause.
 func (s *Solver) undefError(st *sat) error {
 	if st.undefReason == undefDeadline {
@@ -510,88 +413,6 @@ func (s *Solver) undefError(st *sat) error {
 	}
 	s.stats.BudgetExhausted++
 	return ErrBudgetExhausted
-}
-
-// recoverInternal converts an *InternalError panic raised below the
-// query boundary into an Unknown verdict (see the package panic policy).
-func (s *Solver) recoverInternal(res *Result, model *expr.Assignment, err *error) {
-	p := recover()
-	if p == nil {
-		return
-	}
-	ie, ok := p.(*InternalError)
-	if !ok {
-		panic(p)
-	}
-	s.stats.InternalRecovered++
-	*res, *model, *err = Unknown, nil, ie
-}
-
-// satCheck decides a constraint set by bit-blasting + CDCL, on the
-// persistent incremental instance or on a fresh one (see below).
-func (s *Solver) satCheck(constraints []*expr.Expr) (res Result, model expr.Assignment, err error) {
-	defer s.recoverInternal(&res, &model, &err)
-	s.stats.SATRuns++
-	// Large constraint sets use the persistent incremental instance:
-	// their circuits are built once and reused across queries, which
-	// matters on deep paths where long accumulator chains (checksums)
-	// make every constraint expensive to blast. Small sets use a fresh
-	// instance, whose model completion touches only the query's own
-	// variables.
-	if len(constraints) >= 24 {
-		return s.satCheckIncremental(constraints)
-	}
-	st := newSAT()
-	st.deadline = s.queryDeadline
-	bl := newBlaster(st)
-	for _, c := range constraints {
-		bl.assertTrue(c)
-	}
-	switch st.solveWith(nil, s.opts.MaxConflicts) {
-	case lFalse:
-		s.stats.Conflicts += st.conflicts
-		return Unsat, nil, nil
-	case lUndef:
-		s.stats.Conflicts += st.conflicts
-		return Unknown, nil, s.undefError(st)
-	}
-	s.stats.Conflicts += st.conflicts
-	return Sat, extractModel(bl), nil
-}
-
-// satCheckIncremental solves against the shared instance: each distinct
-// constraint is blasted once (Tseitin gates are biconditional, so an
-// unasserted constraint leaves the formula unconstrained), and the query
-// assumes the constraints' output literals.
-func (s *Solver) satCheckIncremental(constraints []*expr.Expr) (res Result, model expr.Assignment, err error) {
-	defer s.recoverInternal(&res, &model, &err)
-	if s.psat == nil {
-		s.psat = newSAT()
-		s.pblast = newBlaster(s.psat)
-	}
-	s.psat.deadline = s.queryDeadline
-	assumps := make([]Lit, len(constraints))
-	for i, c := range constraints {
-		assumps[i] = s.pblast.blast(c)[0]
-	}
-	before := s.psat.conflicts
-	verdict := s.psat.solveWith(assumps, s.opts.MaxConflicts)
-	s.stats.Conflicts += s.psat.conflicts - before
-	switch verdict {
-	case lFalse:
-		if !s.psat.ok {
-			// the shared instance became permanently unsat, which cannot
-			// happen for pure gate clauses; rebuild defensively
-			s.psat = nil
-			s.pblast = nil
-		}
-		return Unsat, nil, nil
-	case lUndef:
-		return Unknown, nil, s.undefError(s.psat)
-	}
-	asn := extractModel(s.pblast)
-	s.psat.reset()
-	return Sat, asn, nil
 }
 
 // extractModel reads the byte assignment out of a blaster whose SAT
@@ -802,68 +623,5 @@ func arraysOf(constraints []*expr.Expr) []*expr.Array {
 		out = append(out, a)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
-}
-
-// sliceIndependent groups constraints that transitively share symbolic
-// bytes (union-find over bytes).
-func sliceIndependent(constraints []*expr.Expr) [][]*expr.Expr {
-	parent := make(map[expr.SymByte]expr.SymByte)
-	var find func(x expr.SymByte) expr.SymByte
-	find = func(x expr.SymByte) expr.SymByte {
-		p, ok := parent[x]
-		if !ok {
-			parent[x] = x
-			return x
-		}
-		if p == x {
-			return x
-		}
-		r := find(p)
-		parent[x] = r
-		return r
-	}
-	union := func(a, b expr.SymByte) {
-		ra, rb := find(a), find(b)
-		if ra != rb {
-			parent[ra] = rb
-		}
-	}
-
-	reads := make([][]expr.SymByte, len(constraints))
-	for i, c := range constraints {
-		reads[i] = expr.Reads(c)
-		for j := 1; j < len(reads[i]); j++ {
-			union(reads[i][0], reads[i][j])
-		}
-	}
-	groups := make(map[expr.SymByte][]*expr.Expr)
-	var constOnly []*expr.Expr
-	for i, c := range constraints {
-		if len(reads[i]) == 0 {
-			constOnly = append(constOnly, c)
-			continue
-		}
-		r := find(reads[i][0])
-		groups[r] = append(groups[r], c)
-	}
-	out := make([][]*expr.Expr, 0, len(groups)+1)
-	if len(constOnly) > 0 {
-		out = append(out, constOnly)
-	}
-	// deterministic order
-	keys := make([]expr.SymByte, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Arr != keys[j].Arr {
-			return keys[i].Arr.Name < keys[j].Arr.Name
-		}
-		return keys[i].Idx < keys[j].Idx
-	})
-	for _, k := range keys {
-		out = append(out, groups[k])
-	}
 	return out
 }

@@ -3,6 +3,7 @@ package solver
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -264,10 +265,6 @@ func TestIndependenceSlicing(t *testing.T) {
 		c.EqE(c.ByteAt(arr, 0), c.ByteAt(arr, 1)),
 		c.UltE(c.ByteAt(arr, 4), c.ByteAt(arr, 5)),
 	}
-	groups := sliceIndependent(cs)
-	if len(groups) != 2 {
-		t.Fatalf("got %d groups, want 2", len(groups))
-	}
 	s := New(Options{DisableCandidates: true, DisableCache: true, DisableIntervals: true})
 	r, m, _ := s.Check(cs, nil)
 	if r != Sat {
@@ -276,23 +273,90 @@ func TestIndependenceSlicing(t *testing.T) {
 	ev := expr.NewEvaluator(m)
 	for _, e := range cs {
 		if !ev.EvalBool(e) {
-			t.Errorf("merged model violates %v", e)
+			t.Errorf("model violates %v", e)
 		}
 	}
 }
 
+// TestSlicingTransitivity: Solver.Slice keeps exactly the constraints
+// of pc transitively connected to the conditions through shared bytes,
+// in pc order, and drops read-free ones; with DisableSlicing it returns
+// the whole pc.
 func TestSlicingTransitivity(t *testing.T) {
 	c := expr.NewContext()
 	arr := expr.NewArray("in", 8)
-	// byte1 links c0 and c1 into one group; byte 7 is separate
-	cs := []*expr.Expr{
-		c.EqE(c.ByteAt(arr, 0), c.ByteAt(arr, 1)),
-		c.EqE(c.ByteAt(arr, 1), c.ByteAt(arr, 2)),
-		c.EqE(c.ByteAt(arr, 7), c.Const(9, 8)),
+	b := func(i int) *expr.Expr { return c.ByteAt(arr, i) }
+	pc := []*expr.Expr{
+		c.EqE(b(3), c.Const(5, 8)), // 0: joins through pc[4]'s byte 3
+		c.UltE(b(1), b(2)),         // 1: joins through pc[5]'s byte 1
+		c.EqE(b(7), c.Const(9, 8)), // 2: disjoint
+		c.True(),                   // 3: read-free
+		c.NeE(b(2), b(3)),          // 4: joins through pc[1]'s byte 2
+		c.EqE(b(0), b(1)),          // 5: shares byte 0 with the condition
 	}
-	groups := sliceIndependent(cs)
-	if len(groups) != 2 {
-		t.Fatalf("got %d groups, want 2", len(groups))
+	cond := c.UltE(b(0), c.Const(100, 8))
+	s := newTestSolver()
+	cases := []struct {
+		name  string
+		s     *Solver
+		conds []*expr.Expr
+		want  []*expr.Expr
+	}{
+		// pc[4] is newer than pc[1], which links it in: the closure needs
+		// a second fixpoint sweep, and the result stays in pc order
+		{"transitive-closure", s, []*expr.Expr{cond}, []*expr.Expr{pc[0], pc[1], pc[4], pc[5]}},
+		{"disjoint-left-out", s, []*expr.Expr{c.EqE(b(7), c.Const(1, 8))}, []*expr.Expr{pc[2]}},
+		{"union-of-siblings", s, []*expr.Expr{cond, c.EqE(b(7), c.Const(1, 8))}, []*expr.Expr{pc[0], pc[1], pc[2], pc[4], pc[5]}},
+		{"untouched-bytes", s, []*expr.Expr{c.EqE(b(6), c.Const(1, 8))}, nil},
+		{"read-free-cond", s, []*expr.Expr{c.True()}, nil},
+		{"disable-slicing", New(Options{DisableSlicing: true}), []*expr.Expr{cond}, pc},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			if got := tc.s.Slice(pc, tc.conds); !slices.Equal(got, tc.want) {
+				t.Errorf("Slice = %v, want %v", got, tc.want)
+			}
+		})
+	}
+}
+
+// TestCheckModelIndependentOfHistory: Check's model is a function of the
+// query alone. A solver that first answered a different chained query
+// must return the same model for a 47-constraint query as a fresh one,
+// so a resumed run (fresh solver) sees what the uninterrupted run saw.
+func TestCheckModelIndependentOfHistory(t *testing.T) {
+	c := expr.NewContext()
+	arr := expr.NewArray("in", 16)
+	chained := func(off uint64) []*expr.Expr {
+		var cs []*expr.Expr
+		for i := 0; i < 16; i++ {
+			bi := c.ByteAt(arr, i)
+			k := c.Const(uint64(i)+off, 8)
+			cs = append(cs, c.NeE(bi, k), c.UleE(k, bi))
+			if i > 0 {
+				cs = append(cs, c.NeE(c.ByteAt(arr, i-1), bi))
+			}
+		}
+		return cs
+	}
+	query := chained(0)
+	if len(query) != 47 {
+		t.Fatalf("query has %d constraints, want 47", len(query))
+	}
+	opts := Options{DisableCandidates: true}
+	warm := New(opts)
+	if r, _, _ := warm.Check(chained(1), nil); r != Sat {
+		t.Fatalf("warm-up query: %v", r)
+	}
+	rw, mw, _ := warm.Check(query, nil)
+	rf, mf, _ := New(opts).Check(query, nil)
+	if rw != Sat || rf != Sat {
+		t.Fatalf("verdicts warm=%v fresh=%v, want sat", rw, rf)
+	}
+	for i := 0; i < 16; i++ {
+		if w, f := mw.ByteOf(arr, i), mf.ByteOf(arr, i); w != f {
+			t.Fatalf("byte %d: warm solver %d, fresh solver %d", i, w, f)
+		}
 	}
 }
 
