@@ -155,15 +155,18 @@ func TestLeaseFencingRejectsStaleOwner(t *testing.T) {
 
 // TestLeaseHeartbeatKeepsAlive: a slice outliving the TTL stays owned
 // as long as renewals keep coming, and a contender polling the whole
-// time never gets in.
+// time never gets in. The TTL is wide enough that a scheduler stall of
+// a few hundred milliseconds (a loaded machine running other test
+// packages) between two renewals cannot let the lease lapse.
 func TestLeaseHeartbeatKeepsAlive(t *testing.T) {
+	const ttl = 400 * time.Millisecond
 	path := leasePath(t)
-	owner := NewLeaseManager("owner", 120*time.Millisecond)
+	owner := NewLeaseManager("owner", ttl)
 	l, err := owner.Acquire(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	contender := NewLeaseManager("contender", 120*time.Millisecond)
+	contender := NewLeaseManager("contender", ttl)
 	stop := make(chan struct{})
 	var contenderWon bool
 	var wg sync.WaitGroup
@@ -182,13 +185,13 @@ func TestLeaseHeartbeatKeepsAlive(t *testing.T) {
 			}
 		}
 	}()
-	// "Slow slice": hold the lease 5× the TTL, renewing at TTL/4.
-	deadline := time.Now().Add(600 * time.Millisecond)
+	// "Slow slice": hold the lease 3× the TTL, renewing at TTL/8.
+	deadline := time.Now().Add(3 * ttl)
 	for time.Now().Before(deadline) {
 		if err := owner.Renew(l); err != nil {
 			t.Fatalf("renewal failed while heartbeating: %v", err)
 		}
-		time.Sleep(30 * time.Millisecond)
+		time.Sleep(ttl / 8)
 	}
 	close(stop)
 	wg.Wait()

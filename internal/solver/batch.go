@@ -1,6 +1,7 @@
 package solver
 
 import (
+	"sync"
 	"time"
 
 	"pbse/internal/expr"
@@ -279,6 +280,12 @@ func (s *Solver) checkFast(constraints []*expr.Expr, hint expr.Assignment, verdi
 	return Unknown, nil, &pendingQuery{live: live, key: key, skey: skey}, nil
 }
 
+// blasterPool recycles blasters and their SAT instances across batchSAT
+// calls. It is process-wide rather than per Solver, so an idle solver
+// holds no instance and the GC may drop entries nobody uses; start()
+// makes a recycled instance indistinguishable from a fresh one.
+var blasterPool = sync.Pool{New: func() any { return newBlaster(newSAT()) }}
+
 // batchSAT decides the pending queries on one fresh SAT instance: the
 // shared slice is asserted true and blasted once, then each query's
 // condition becomes an assumption literal for its own bounded solve (a
@@ -286,7 +293,8 @@ func (s *Solver) checkFast(constraints []*expr.Expr, hint expr.Assignment, verdi
 // builds a SAT instance, and it publishes every verdict: local and
 // shared caches, recent candidates, the Unknown counters. A recovered
 // internal invariant violation degrades the current and all remaining
-// queries to Unknown (see the package panic policy).
+// queries to Unknown (see the package panic policy); the half-built
+// instance still goes back to the pool, as start() clears any state.
 func (s *Solver) batchSAT(slice []*expr.Expr, pending []pendingQuery, out []BatchVerdict) {
 	next := 0
 	defer func() {
@@ -305,9 +313,11 @@ func (s *Solver) batchSAT(slice []*expr.Expr, pending []pendingQuery, out []Batc
 		}
 	}()
 
-	st := newSAT()
+	bl := blasterPool.Get().(*blaster)
+	defer blasterPool.Put(bl)
+	bl.start()
+	st := bl.sat
 	st.deadline = s.deadline()
-	bl := newBlaster(st)
 	for _, c := range slice {
 		bl.assertTrue(c)
 	}

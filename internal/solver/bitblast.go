@@ -20,10 +20,24 @@ func newBlaster(s *sat) *blaster {
 		memo:  make(map[*expr.Expr][]Lit, 256),
 		bytes: make(map[expr.SymByte][]Lit),
 	}
-	v := s.newVar()
-	b.lTrue = mkLit(v, false)
-	s.addClause(b.lTrue)
+	b.assertConstTrue()
 	return b
+}
+
+// start readies b for a new formula: its instance is cleared and its
+// maps emptied, keeping their memory, so what follows builds exactly the
+// CNF a newBlaster(newSAT()) would.
+func (b *blaster) start() {
+	b.sat.clear()
+	clear(b.memo)
+	clear(b.bytes)
+	b.assertConstTrue()
+}
+
+// assertConstTrue allocates the literal every constant bit refers to.
+func (b *blaster) assertConstTrue() {
+	b.lTrue = mkLit(b.sat.newVar(), false)
+	b.sat.addClause(b.lTrue)
 }
 
 func (b *blaster) lFalse() Lit { return b.lTrue.Neg() }

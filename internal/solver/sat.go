@@ -10,7 +10,12 @@
 // decided on a fresh instance built by batchSAT (siblings of one
 // terminator share it under assumption literals), so no CDCL state
 // (learned clauses, activities, saved phases) carries from one query to
-// the next.
+// the next. An instance's memory is recycled, though: batchSAT takes a
+// blaster and its instance from a process-wide pool and start() clears
+// them — every per-variable slice, the clause arena, the trail and the
+// heap are truncated and each watch list is resliced to length zero —
+// so a steady-state build allocates almost nothing, while the state it
+// starts from is exactly that of a never-used instance.
 //
 // # Panic and error policy
 //
@@ -65,10 +70,13 @@ type watcher struct {
 	blocker Lit // quick check: if blocker is true the clause is satisfied
 }
 
+// clauseRef locates a clause's literals in the sat arena.
+type clauseRef struct{ start, n int32 }
+
 // sat is a CDCL SAT solver over clauses added with addClause.
 type sat struct {
-	clauses  [][]Lit
-	learned  []bool
+	lits     []Lit       // clause arena: every clause's literals, back to back
+	clauses  []clauseRef // indexed by clause number
 	watches  [][]watcher // indexed by literal
 	assigns  []int8      // per var
 	levels   []int32     // per var: decision level
@@ -81,6 +89,11 @@ type sat struct {
 	varInc   float64
 	heap     varHeap
 	polarity []bool // phase saving
+
+	// analyze scratch: seen is per var and all false between calls;
+	// learnt holds the clause being learned until attach copies it.
+	seen   []bool
+	learnt []Lit
 
 	conflicts    int64
 	decisions    int64
@@ -109,6 +122,32 @@ func newSAT() *sat {
 	return &sat{varInc: 1, ok: true}
 }
 
+// clear returns s to the state of newSAT() while keeping its memory:
+// slices are truncated, not freed, so the next formula reuses them.
+func (s *sat) clear() {
+	s.lits = s.lits[:0]
+	s.clauses = s.clauses[:0]
+	s.watches = s.watches[:0] // newVar empties each list it reuses
+	s.assigns = s.assigns[:0]
+	s.levels = s.levels[:0]
+	s.reasons = s.reasons[:0]
+	s.trail = s.trail[:0]
+	s.trailLim = s.trailLim[:0]
+	s.qhead = 0
+	s.activity = s.activity[:0]
+	s.varInc = 1
+	s.heap.data = s.heap.data[:0]
+	s.heap.pos = s.heap.pos[:0]
+	s.polarity = s.polarity[:0]
+	s.seen = s.seen[:0]
+	s.learnt = s.learnt[:0]
+	s.conflicts, s.decisions, s.propagations = 0, 0, 0
+	s.deadline = time.Time{}
+	s.undefReason = undefNone
+	s.assumps = nil
+	s.ok = true
+}
+
 // newVar allocates a fresh variable and returns its index.
 func (s *sat) newVar() int {
 	v := len(s.assigns)
@@ -117,9 +156,23 @@ func (s *sat) newVar() int {
 	s.reasons = append(s.reasons, -1)
 	s.activity = append(s.activity, 0)
 	s.polarity = append(s.polarity, false)
-	s.watches = append(s.watches, nil, nil)
+	s.seen = append(s.seen, false)
+	if n := len(s.watches); n+2 <= cap(s.watches) {
+		// a recycled instance: keep the two lists' backing arrays
+		s.watches = s.watches[:n+2]
+		s.watches[n] = s.watches[n][:0]
+		s.watches[n+1] = s.watches[n+1][:0]
+	} else {
+		s.watches = append(s.watches, nil, nil)
+	}
 	s.heap.push(v, s.activity)
 	return v
+}
+
+// clause returns clause ci's literals; propagate reorders them in place.
+func (s *sat) clause(ci int32) []Lit {
+	c := s.clauses[ci]
+	return s.lits[c.start : c.start+c.n : c.start+c.n]
 }
 
 func (s *sat) value(l Lit) int8 {
@@ -142,17 +195,25 @@ func (s *sat) addClause(lits ...Lit) bool {
 	if !s.ok {
 		return false
 	}
-	// remove duplicate/false literals, detect tautology and satisfied clauses
+	// remove duplicate/false literals, detect tautology and satisfied
+	// clauses (clauses are short: a scan of out beats a set)
 	out := lits[:0]
-	seen := map[Lit]bool{}
+next:
 	for _, l := range lits {
-		if s.value(l) == lTrue || seen[l.Neg()] {
-			return true // already satisfied or tautology
+		if s.value(l) == lTrue {
+			return true // already satisfied
 		}
-		if s.value(l) == lFalse || seen[l] {
+		for _, o := range out {
+			if o == l.Neg() {
+				return true // tautology
+			}
+			if o == l {
+				continue next
+			}
+		}
+		if s.value(l) == lFalse {
 			continue
 		}
-		seen[l] = true
 		out = append(out, l)
 	}
 	switch len(out) {
@@ -170,16 +231,15 @@ func (s *sat) addClause(lits ...Lit) bool {
 		}
 		return true
 	}
-	cl := make([]Lit, len(out))
-	copy(cl, out)
-	s.attach(cl, false)
+	s.attach(out)
 	return true
 }
 
-func (s *sat) attach(cl []Lit, isLearned bool) int32 {
+// attach copies cl into the arena and watches its first two literals.
+func (s *sat) attach(cl []Lit) int32 {
 	ci := int32(len(s.clauses))
-	s.clauses = append(s.clauses, cl)
-	s.learned = append(s.learned, isLearned)
+	s.clauses = append(s.clauses, clauseRef{start: int32(len(s.lits)), n: int32(len(cl))})
+	s.lits = append(s.lits, cl...)
 	s.watches[cl[0].Neg()] = append(s.watches[cl[0].Neg()], watcher{clause: ci, blocker: cl[1]})
 	s.watches[cl[1].Neg()] = append(s.watches[cl[1].Neg()], watcher{clause: ci, blocker: cl[0]})
 	return ci
@@ -223,7 +283,7 @@ func (s *sat) propagate() int32 {
 				kept = append(kept, w)
 				continue
 			}
-			cl := s.clauses[w.clause]
+			cl := s.clause(w.clause)
 			// ensure the false literal is at cl[1]
 			if cl[0] == p.Neg() {
 				cl[0], cl[1] = cl[1], cl[0]
@@ -264,15 +324,15 @@ func (s *sat) propagate() int32 {
 // analyze performs first-UIP conflict analysis, returning the learned
 // clause (asserting literal first) and the backtrack level.
 func (s *sat) analyze(conflict int32) ([]Lit, int) {
-	learnt := []Lit{0} // slot 0 for the asserting literal
-	seen := make([]bool, len(s.assigns))
+	learnt := append(s.learnt[:0], 0) // slot 0 for the asserting literal
+	seen := s.seen
 	counter := 0
 	var p Lit = -1
 	idx := len(s.trail) - 1
 	ci := conflict
 
 	for {
-		cl := s.clauses[ci]
+		cl := s.clause(ci)
 		start := 0
 		if p != -1 {
 			start = 1 // skip the asserting literal of the reason clause
@@ -304,6 +364,12 @@ func (s *sat) analyze(conflict int32) ([]Lit, int) {
 		ci = s.reasons[p.Var()]
 	}
 	learnt[0] = p.Neg()
+	// every current-level var was unmarked on the trail walk; unmark the
+	// rest so seen is all false for the next call
+	for _, q := range learnt[1:] {
+		seen[q.Var()] = false
+	}
+	s.learnt = learnt
 
 	// compute backtrack level: max level among learnt[1:]
 	btLevel := 0
@@ -445,7 +511,7 @@ func (s *sat) solveWith(assumps []Lit, budget int64) int8 {
 					return lFalse
 				}
 			} else {
-				ci := s.attach(learnt, true)
+				ci := s.attach(learnt)
 				if s.value(learnt[0]) == lUndef {
 					s.enqueue(learnt[0], ci)
 				}
