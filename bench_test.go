@@ -7,12 +7,7 @@
 package pbse
 
 import (
-	"encoding/json"
-	"math/rand"
-	"os"
-	"runtime"
 	"testing"
-	"time"
 
 	"pbse/internal/experiments"
 )
@@ -25,107 +20,9 @@ func benchConfig() experiments.Config {
 	return cfg
 }
 
-// parallelPoint is one worker-count measurement of the parallel sweep.
-type parallelPoint struct {
-	Workers      int     `json:"workers"`
-	WallMS       float64 `json:"wall_ms"`
-	Blocks       int     `json:"blocks"`
-	BlocksPerSec float64 `json:"blocks_per_sec"`
-	// SpeedupVsW1 is this point's blocks/sec over the W=1 point's — the
-	// throughput ratio the CI scaling gate reads. On a single-core box
-	// it measures the algorithmic win (batched blasting, shared-verdict
-	// reuse, affinity selection), not parallel hardware.
-	SpeedupVsW1 float64 `json:"speedup_vs_w1"`
-	// Efficiency is SpeedupVsW1/Workers: 1.0 means perfectly linear.
-	Efficiency float64 `json:"efficiency"`
-}
-
-// parallelSweep is one driver's W=1,2,4,8 sweep.
-type parallelSweep struct {
-	Driver     string          `json:"driver"`
-	Budget     int64           `json:"budget"`
-	GOMAXPROCS int             `json:"gomaxprocs"`
-	Points     []parallelPoint `json:"points"`
-	// SpeedupW8vW1 duplicates the W=8 point's SpeedupVsW1 (blocks/sec
-	// ratio) at the top level for quick scanning.
-	SpeedupW8vW1 float64 `json:"speedup_w8_vs_w1"`
-}
-
-// emitParallelSweep runs the given driver at the same budget under
-// W=1,2,4,8, then merges the measurements into BENCH_parallel.json keyed
-// by benchmark name — the artifact CI uploads so the parallel scheduler's
-// scaling has a recorded trajectory. On a single-core runner the sweep
-// still runs (the scheduler interleaves islands); the gomaxprocs field
-// records how much hardware the speedup had to work with.
-func emitParallelSweep(b *testing.B, benchName, driver string) {
-	b.Helper()
-	tgt, err := TargetByDriver(driver)
-	if err != nil {
-		b.Fatal(err)
-	}
-	prog, err := tgt.Build()
-	if err != nil {
-		b.Fatal(err)
-	}
-	seed := tgt.GenSeed(rand.New(rand.NewSource(42)), 576)
-	sweep := parallelSweep{Driver: driver, Budget: 400_000, GOMAXPROCS: runtime.GOMAXPROCS(0)}
-	var bpsW1 float64
-	for _, w := range []int{1, 2, 4, 8} {
-		start := time.Now()
-		res, err := Run(prog, seed,
-			Options{Budget: sweep.Budget, Seed: 42, Workers: w},
-			ExecutorOptions{InputSize: len(seed)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		wall := time.Since(start)
-		p := parallelPoint{
-			Workers:      w,
-			WallMS:       float64(wall.Microseconds()) / 1e3,
-			Blocks:       res.Covered,
-			BlocksPerSec: float64(res.Covered) / wall.Seconds(),
-		}
-		if w == 1 {
-			bpsW1 = p.BlocksPerSec
-		}
-		if bpsW1 > 0 {
-			p.SpeedupVsW1 = p.BlocksPerSec / bpsW1
-			p.Efficiency = p.SpeedupVsW1 / float64(w)
-		}
-		sweep.Points = append(sweep.Points, p)
-		b.ReportMetric(p.BlocksPerSec, "blocks/sec-w"+itoa(w))
-	}
-	if last := sweep.Points[len(sweep.Points)-1]; last.BlocksPerSec > 0 {
-		sweep.SpeedupW8vW1 = last.SpeedupVsW1
-	}
-
-	const path = "BENCH_parallel.json"
-	doc := make(map[string]parallelSweep)
-	if raw, err := os.ReadFile(path); err == nil {
-		_ = json.Unmarshal(raw, &doc) // corrupt file: start over
-	}
-	doc[benchName] = sweep
-	out, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile(path, append(out, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-}
-
-func itoa(n int) string {
-	if n >= 10 {
-		return itoa(n/10) + itoa(n%10)
-	}
-	return string(rune('0' + n))
-}
-
-// BenchmarkTableI regenerates the readelf searcher comparison and emits
-// the readelf parallel-scaling sweep to BENCH_parallel.json.
+// BenchmarkTableI regenerates the readelf searcher comparison.
 func BenchmarkTableI(b *testing.B) {
 	cfg := benchConfig()
-	emitParallelSweep(b, "BenchmarkTableI", "readelf")
 	for i := 0; i < b.N; i++ {
 		res, err := experiments.TableI(cfg)
 		if err != nil {
@@ -197,11 +94,9 @@ func BenchmarkFig1(b *testing.B) {
 	}
 }
 
-// BenchmarkFig4 regenerates the phase-division comparison and emits the
-// gif2tiff parallel-scaling sweep to BENCH_parallel.json.
+// BenchmarkFig4 regenerates the phase-division comparison.
 func BenchmarkFig4(b *testing.B) {
 	cfg := benchConfig()
-	emitParallelSweep(b, "BenchmarkFig4", "gif2tiff")
 	for i := 0; i < b.N; i++ {
 		r, err := experiments.Fig4(cfg)
 		if err != nil {

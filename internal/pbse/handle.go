@@ -35,8 +35,11 @@ type Handle struct {
 	opts   Options
 	exOpts symex.Options
 
-	mu   sync.Mutex
-	done bool
+	mu sync.Mutex
+	// last is the final Result, set exactly when the campaign is done
+	// (Step on a finished handle returns it). An interrupted Step keeps
+	// nothing, so a queued campaign pins no Executor or analysis Report
+	// between Steps.
 	last *Result
 }
 
@@ -71,7 +74,7 @@ func NewHandle(prog *ir.Program, seed []byte, opts Options, exOpts symex.Options
 func (h *Handle) Step(rounds int64) (*Result, error) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.done {
+	if h.last != nil {
 		return h.last, nil
 	}
 	o := h.opts
@@ -81,8 +84,9 @@ func (h *Handle) Step(rounds int64) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	h.last = res
-	h.done = !res.Interrupted
+	if !res.Interrupted {
+		h.last = res
+	}
 	return res, nil
 }
 
@@ -91,12 +95,5 @@ func (h *Handle) Step(rounds int64) (*Result, error) {
 func (h *Handle) Done() bool {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.done
-}
-
-// Last returns the Result of the most recent Step (nil before the first).
-func (h *Handle) Last() *Result {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.last
+	return h.last != nil
 }

@@ -55,8 +55,9 @@ type Options struct {
 	// DisableAbsint keeps the static report (and phase annotation) but
 	// withholds the abstract-interpretation facts from the executor: no
 	// PreCheck fast path and no edge-map pruning. Scheduling is identical
-	// with the switch on or off; only solver traffic differs. This is the
-	// control arm of BENCH_absint.
+	// with the switch on or off; only solver traffic differs.
+	// TestAbsintPrunesWithoutChangingResults runs both arms, and
+	// `pbse -no-absint` sets the switch from the command line.
 	DisableAbsint bool
 	// Seed drives in-phase state selection.
 	Seed int64

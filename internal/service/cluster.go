@@ -518,6 +518,7 @@ func (s *Service) requeueSlice(c *Campaign) {
 	case c.status.Terminal():
 		// Lost ownership and was finalized while granted; nothing to requeue.
 	case c.cancel:
+		c.handle = nil
 		s.finalizeLocked(c, StatusCancelled, "")
 		rec := c.record()
 		go func() {

@@ -1,8 +1,8 @@
 package service
 
-// Memory tests: a finished campaign must not pin its Handle (executor,
-// solver caches, state pool) for the daemon's lifetime, on the local
-// pool or on a slice worker.
+// Memory tests: a finished or cancelled campaign must not pin its Handle
+// (executor, solver caches, state pool) for the daemon's lifetime, on the
+// local pool or on a slice worker.
 
 import (
 	"context"
@@ -80,6 +80,67 @@ func TestFinishedCampaignsFreeTheirHandles(t *testing.T) {
 	const limit = 512 << 10
 	if perCampaign > limit {
 		t.Errorf("post-GC heap grows %d KB per finished campaign, want at most %d KB", perCampaign>>10, limit>>10)
+	}
+}
+
+// TestCancelledCampaignsFreeTheirHandles drives slices by hand on a
+// daemon with no pool workers and cancels two campaigns after their
+// first slice: one while it waits in the queue (checkpointed), one while
+// its next slice is granted and running. Both must drop their handle.
+func TestCancelledCampaignsFreeTheirHandles(t *testing.T) {
+	svc, err := Open(t.TempDir(), testConfig(-1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close(context.Background())
+	// firstSlice submits a campaign, runs its first slice and checks it
+	// is checkpointed with a live handle.
+	firstSlice := func() *Campaign {
+		t.Helper()
+		info, err := svc.Submit(Spec{Driver: "readelf", Budget: tinyBudget})
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := svc.next()
+		if c == nil || c.ID != info.ID {
+			t.Fatalf("granted %v, want campaign %s", c, info.ID)
+		}
+		svc.runSlice(c)
+		svc.mu.Lock()
+		defer svc.mu.Unlock()
+		if c.status != StatusCheckpointed || c.handle == nil {
+			t.Fatalf("after one slice: status %s, handle %v; want a checkpointed campaign with a handle",
+				c.status, c.handle != nil)
+		}
+		return c
+	}
+	handleOf := func(c *Campaign) bool {
+		svc.mu.Lock()
+		defer svc.mu.Unlock()
+		return c.handle != nil
+	}
+
+	queued := firstSlice()
+	if st, err := svc.Cancel(queued.ID); err != nil || st != StatusCancelled {
+		t.Fatalf("cancel checkpointed campaign: %s, %v", st, err)
+	}
+	if handleOf(queued) {
+		t.Error("campaign cancelled while checkpointed still holds its handle")
+	}
+
+	running := firstSlice()
+	if c := svc.next(); c != running {
+		t.Fatalf("granted %v, want campaign %s", c, running.ID)
+	}
+	if st, err := svc.Cancel(running.ID); err != nil || st != StatusRunning {
+		t.Fatalf("cancel running campaign: %s, %v", st, err)
+	}
+	svc.runSlice(running)
+	if st, err := svc.WaitTerminal(context.Background(), running.ID); err != nil || st != StatusCancelled {
+		t.Fatalf("campaign cancelled mid-slice ended %s (%v)", st, err)
+	}
+	if handleOf(running) {
+		t.Error("campaign cancelled mid-slice still holds its handle")
 	}
 }
 

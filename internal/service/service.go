@@ -162,7 +162,9 @@ var (
 // Campaign is one submitted campaign's runtime record. All mutable
 // fields are guarded by the owning Service's mutex; handle and st are
 // touched only by the single worker running the campaign's current
-// slice (slice executions of one campaign are serialized by the queue).
+// slice (slice executions of one campaign are serialized by the queue),
+// except that a terminal transition made while no slice runs drops the
+// handle under the mutex.
 type Campaign struct {
 	Spec
 
@@ -456,6 +458,7 @@ func (s *Service) Cancel(id string) (Status, error) {
 	default:
 		s.queue.remove(c)
 		c.cancel = true
+		c.handle = nil // no slice is running: free the executor now
 		s.finalizeLocked(c, StatusCancelled, "")
 		rec := c.record()
 		s.mu.Unlock()
@@ -614,6 +617,7 @@ func (s *Service) next() *Campaign {
 			if c == nil {
 				break
 			}
+			c.handle = nil
 			s.finalizeLocked(c, StatusFailed, "tenant worker-seconds quota exhausted")
 			rec := c.record()
 			go func(c *Campaign, rec jobRecord) {
@@ -661,15 +665,7 @@ func (s *Service) runSlice(c *Campaign) {
 }
 
 // runLocalSlice advances c one slice in-process and shapes the result.
-// A slice that ends the campaign drops its handle: the executor, solver
-// caches and state pool are freed now, not when the daemon exits (a
-// Resume rebuilds the handle from the on-disk checkpoint).
-func (s *Service) runLocalSlice(c *Campaign) (out sliceOutcome) {
-	defer func() {
-		if out.err != nil || out.noop || out.finished {
-			c.handle = nil
-		}
-	}()
+func (s *Service) runLocalSlice(c *Campaign) sliceOutcome {
 	res, err := s.stepCampaign(c)
 	if err != nil {
 		return sliceOutcome{err: err}
@@ -677,7 +673,7 @@ func (s *Service) runLocalSlice(c *Campaign) (out sliceOutcome) {
 	if res == nil { // already-finished handle (cannot happen in normal flow)
 		return sliceOutcome{noop: true}
 	}
-	out = sliceOutcome{
+	out := sliceOutcome{
 		finished: !res.Interrupted,
 		clock:    res.Executor.Clock(),
 		covered:  res.Covered,
@@ -697,8 +693,10 @@ func (s *Service) runLocalSlice(c *Campaign) (out sliceOutcome) {
 
 // reconcile folds one slice outcome into the campaign: progress and bug
 // events, terminal transitions, or requeueing with a fresh seq (the
-// round-robin step). Terminal campaigns get a final fenced job-record
-// write and release their lease.
+// round-robin step). Terminal campaigns drop their handle, so the
+// executor, solver caches and state pool are freed now rather than when
+// the daemon exits (a Resume rebuilds it from the on-disk checkpoint),
+// get a final fenced job-record write, and release their lease.
 func (s *Service) reconcile(c *Campaign, out sliceOutcome, elapsed float64) {
 	s.mu.Lock()
 	t := s.tenant(c.Tenant)
@@ -751,6 +749,9 @@ func (s *Service) reconcile(c *Campaign, out sliceOutcome, elapsed float64) {
 	}
 	rec := c.record()
 	terminal := c.status.Terminal()
+	if terminal {
+		c.handle = nil
+	}
 	s.cond.Broadcast()
 	s.mu.Unlock()
 	s.persistJobBestEffort(c, rec)
